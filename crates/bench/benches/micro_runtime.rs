@@ -20,7 +20,7 @@ use graphr_core::sim::{PageRankOptions, TraversalOptions};
 use graphr_core::{GraphRConfig, TiledGraph};
 use graphr_graph::generators::rmat::Rmat;
 use graphr_graph::generators::structured::grid;
-use graphr_graph::{GraphHandle, BYTES_PER_EDGE};
+use graphr_graph::{EdgeList, GraphHandle, BYTES_PER_EDGE};
 use graphr_runtime::{pool, ExecMode, Job, JobSpec, ParallelExecutor, Session};
 use graphr_units::FixedSpec;
 
@@ -185,13 +185,14 @@ fn serve_stats_case() {
 /// pruned-plan loop re-plans from the frontier each round, so iteration
 /// cost follows the (small) wavefront of a high-diameter structured graph.
 fn bfs_rounds(
+    graph: &EdgeList,
     tiled: &TiledGraph,
     config: &GraphRConfig,
     pruned: bool,
 ) -> (Vec<f64>, graphr_core::Metrics) {
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
     let mut exec = StreamingExecutor::new(tiled, config, spec);
-    bfs_rounds_on(&mut exec, spec, tiled.num_vertices(), pruned)
+    bfs_rounds_on(&mut exec, spec, graph, pruned)
 }
 
 fn sparse_frontier_case() {
@@ -209,16 +210,16 @@ fn sparse_frontier_case() {
 
     let t_full = best_of(2, || {
         let start = Instant::now();
-        let _ = bfs_rounds(&tiled, &config, false);
+        let _ = bfs_rounds(&g, &tiled, &config, false);
         start.elapsed()
     });
     let t_pruned = best_of(2, || {
         let start = Instant::now();
-        let _ = bfs_rounds(&tiled, &config, true);
+        let _ = bfs_rounds(&g, &tiled, &config, true);
         start.elapsed()
     });
-    let (d_full, m_full) = bfs_rounds(&tiled, &config, false);
-    let (d_pruned, m_pruned) = bfs_rounds(&tiled, &config, true);
+    let (d_full, m_full) = bfs_rounds(&g, &tiled, &config, false);
+    let (d_pruned, m_pruned) = bfs_rounds(&g, &tiled, &config, true);
     assert_eq!(d_full, d_pruned, "pruning must not change BFS labels");
     assert!(
         m_pruned.events.bytes_streamed < m_full.events.bytes_streamed,
@@ -304,7 +305,7 @@ fn incremental_planner_case() {
     // the measured planning time.
     let delta_run = || {
         let mut exec = StreamingExecutor::new(&tiled, &config, spec);
-        bfs_rounds_on(&mut exec, spec, n, true)
+        bfs_rounds_on(&mut exec, spec, &g, true)
     };
     let (d_delta, m_delta) = delta_run();
     let t_delta = best_of(5, || {
@@ -367,7 +368,7 @@ fn frontier_mask_case() {
     };
     let mask_run = || {
         let mut exec = StreamingExecutor::new(&tiled, &config, spec);
-        bfs_rounds_on(&mut exec, spec, n, true)
+        bfs_rounds_on(&mut exec, spec, &g, true)
     };
     let (d_dense, m_dense) = dense_run();
     let (d_mask, m_mask) = mask_run();
@@ -532,18 +533,17 @@ fn tracing_overhead_case() {
         .build()
         .expect("valid bench geometry");
     let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
-    let n = tiled.num_vertices();
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
 
     let plain_run = || {
         let mut exec = StreamingExecutor::new(&tiled, &config, spec);
-        bfs_rounds_on(&mut exec, spec, n, true)
+        bfs_rounds_on(&mut exec, spec, &g, true)
     };
     let traced_run = || {
         let sink = TraceSink::shared();
         let mut exec = StreamingExecutor::new(&tiled, &config, spec);
         exec.set_trace(Some(TraceHandle::new(std::sync::Arc::clone(&sink))));
-        let out = bfs_rounds_on(&mut exec, spec, n, true);
+        let out = bfs_rounds_on(&mut exec, spec, &g, true);
         (out, sink)
     };
 
@@ -600,9 +600,9 @@ fn cluster_sparse_frontier_case() {
     let n = tiled.num_vertices();
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
 
-    let (d_single, m_single) = bfs_rounds(&tiled, &config, true);
+    let (d_single, m_single) = bfs_rounds(&g, &tiled, &config, true);
     let mut cluster = ClusterExecutor::new(&tiled, &config, spec, MultiNodeConfig::pcie_cluster(4));
-    let (d_cluster, m_cluster) = bfs_rounds_on(&mut cluster, spec, n, true);
+    let (d_cluster, m_cluster) = bfs_rounds_on(&mut cluster, spec, &g, true);
     assert_eq!(d_single, d_cluster, "partitioning must not change labels");
     assert_eq!(
         m_single.events, m_cluster.events,
@@ -645,15 +645,14 @@ fn out_of_core_sparse_frontier_case(threads: usize) {
         .build()
         .expect("valid bench geometry");
     let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
-    let n = tiled.num_vertices();
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
     let disk = DiskModel::nvme();
 
     let mut serial = StreamingExecutor::new(&tiled, &config, spec).with_disk(disk);
-    let (d_serial, m_serial) = bfs_rounds_on(&mut serial, spec, n, true);
+    let (d_serial, m_serial) = bfs_rounds_on(&mut serial, spec, &g, true);
     let mut parallel =
         ParallelExecutor::with_threads(&tiled, &config, spec, threads).with_disk(disk);
-    let (d_parallel, m_parallel) = bfs_rounds_on(&mut parallel, spec, n, true);
+    let (d_parallel, m_parallel) = bfs_rounds_on(&mut parallel, spec, &g, true);
     assert_eq!(d_serial, d_parallel, "disk model must not change labels");
     assert_eq!(
         m_serial, m_parallel,
@@ -693,10 +692,10 @@ fn out_of_core_sparse_frontier_case(threads: usize) {
     // row shows between `--disk none` and `--disk sata`).
     {
         use graphr_core::analyze::{BottleneckReport, Resource};
-        let (_, m_incore) = bfs_rounds(&tiled, &config, true);
+        let (_, m_incore) = bfs_rounds(&g, &tiled, &config, true);
         let mut sata =
             StreamingExecutor::new(&tiled, &config, spec).with_disk(DiskModel::sata_ssd());
-        let (_, m_sata) = bfs_rounds_on(&mut sata, spec, n, true);
+        let (_, m_sata) = bfs_rounds_on(&mut sata, spec, &g, true);
         assert_eq!(
             BottleneckReport::classify(&m_incore).bound,
             Resource::Compute,
@@ -761,9 +760,9 @@ fn pipelined_prefetch_case(threads: usize) {
     // the read-ahead is active and the compute lane waits strictly less
     // on the drive without the overlapped wall ever regressing.
     let mut serial_off = StreamingExecutor::new(&tiled, &config, spec).with_disk(off);
-    let (d_off, m_off) = bfs_rounds_on(&mut serial_off, spec, n, true);
+    let (d_off, m_off) = bfs_rounds_on(&mut serial_off, spec, &g, true);
     let mut serial_on = StreamingExecutor::new(&tiled, &config, spec).with_disk(on);
-    let (d_on, m_on) = bfs_rounds_on(&mut serial_on, spec, n, true);
+    let (d_on, m_on) = bfs_rounds_on(&mut serial_on, spec, &g, true);
     assert_eq!(d_off, d_on, "prefetch must not change labels");
     assert_eq!(m_off.events, m_on.events, "prefetch must not change events");
     assert_eq!(
@@ -785,10 +784,10 @@ fn pipelined_prefetch_case(threads: usize) {
     );
     let mut parallel_on =
         ParallelExecutor::with_threads(&tiled, &config, spec, threads).with_disk(on);
-    let (d_par, m_par) = bfs_rounds_on(&mut parallel_on, spec, n, true);
+    let (d_par, m_par) = bfs_rounds_on(&mut parallel_on, spec, &g, true);
     let mut cluster_on =
         ClusterExecutor::new(&tiled, &config, spec, MultiNodeConfig::pcie_cluster(1)).with_disk(on);
-    let (d_clu, m_clu) = bfs_rounds_on(&mut cluster_on, spec, n, true);
+    let (d_clu, m_clu) = bfs_rounds_on(&mut cluster_on, spec, &g, true);
     assert_eq!(d_on, d_par, "parallel prefetch must not change labels");
     assert_eq!(
         d_on, d_clu,
@@ -807,7 +806,7 @@ fn pipelined_prefetch_case(threads: usize) {
     // idle tail to fund reads ahead, and the capped demand pricing keeps
     // the run inside the legacy aggregate bound.
     let mut dense_on = StreamingExecutor::new(&tiled, &config, spec).with_disk(on);
-    let (_, m_dense) = bfs_rounds_on(&mut dense_on, spec, n, false);
+    let (_, m_dense) = bfs_rounds_on(&mut dense_on, spec, &g, false);
     let legacy = estimate_out_of_core(&tiled, &m_dense, &off);
     assert!(
         m_dense.disk.overlapped <= legacy.overlapped_time,

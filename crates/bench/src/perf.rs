@@ -13,15 +13,15 @@
 //! the BFS drivers below so both harnesses measure the same loops.
 
 use graphr_core::analyze::BottleneckReport;
-use graphr_core::exec::mask::{FrontierDelta, FrontierMask};
+use graphr_core::exec::mask::FrontierMask;
 use graphr_core::exec::{ScanEngine, StreamingExecutor};
 use graphr_core::multinode::{ClusterExecutor, MultiNodeConfig};
 use graphr_core::outofcore::DiskModel;
-use graphr_core::sim::{run_bfs_lanes_with, LaneTraversalOptions, TraversalOptions};
+use graphr_core::sim::{run_bfs_lanes_with, run_bfs_with, LaneTraversalOptions, TraversalOptions};
 use graphr_core::stats::Histogram;
 use graphr_core::{GraphRConfig, Metrics, TiledGraph};
 use graphr_graph::generators::structured::grid;
-use graphr_graph::GraphHandle;
+use graphr_graph::{EdgeList, GraphHandle};
 use graphr_runtime::{Job, JobSpec, ServeConfig, Server, Session};
 use graphr_units::FixedSpec;
 
@@ -44,31 +44,40 @@ pub fn bfs_spec() -> FixedSpec {
     FixedSpec::new(16, 0).expect("Q16.0 is valid")
 }
 
-/// The BFS iteration loop over any engine (serial or parallel, with or
-/// without a disk model or cluster attached). `spec` must be the label
-/// format the engine was built with. `pruned` selects frontier-pruned
-/// plans patched by driver-supplied deltas; `false` runs every iteration
-/// as a full scan.
+/// BFS from vertex 0 over any engine (serial or parallel, with or
+/// without a disk model or cluster attached), returning the labels
+/// (unreached = the format maximum) and the machine [`Metrics`]. `spec`
+/// must be the label format the engine was built with.
+///
+/// `pruned` runs the solo driver, [`run_bfs_with`]: frontier-pruned plans
+/// patched by driver-supplied deltas. Its one per-query attribution row is
+/// dropped, because the full-scan and dense baselines attribute none.
+/// `false` runs every iteration as a full scan — the scenario baseline.
 pub fn bfs_rounds_on(
     exec: &mut dyn ScanEngine,
     spec: FixedSpec,
-    n: usize,
+    graph: &EdgeList,
     pruned: bool,
 ) -> (Vec<f64>, Metrics) {
     let inf = spec.max_value();
+    if pruned {
+        let opts = TraversalOptions {
+            spec,
+            ..TraversalOptions::default()
+        };
+        let run = run_bfs_with(graph, exec, &opts).expect("vertex 0 is a valid source");
+        let dist = run.distances.iter().map(|d| d.unwrap_or(inf)).collect();
+        let mut metrics = run.metrics;
+        metrics.lanes.clear();
+        return (dist, metrics);
+    }
+    let n = graph.num_vertices();
     let mut dist = vec![inf; n];
     dist[0] = 0.0;
     let mut active = FrontierMask::new(n);
     active.set(0);
-    let mut delta: Option<FrontierDelta> = None;
     for _ in 0..n {
-        let plan = if !pruned {
-            exec.plan(None)
-        } else if let Some(d) = &delta {
-            exec.plan_with_delta(&active, d)
-        } else {
-            exec.plan(Some(&active))
-        };
+        let plan = exec.plan(None);
         let mut frontier = dist.clone();
         let mut updated = FrontierMask::new(n);
         exec.scan_add_op_planned(
@@ -82,7 +91,6 @@ pub fn bfs_rounds_on(
         );
         exec.end_iteration();
         dist = frontier;
-        delta = Some(FrontierDelta::between(&active, &updated));
         active = updated;
         if active.is_empty() {
             break;
@@ -279,9 +287,10 @@ pub fn render_json(rows: &[ScenarioRow]) -> String {
 #[must_use]
 pub fn sparse_frontier() -> ScenarioRow {
     let config = bench_config();
-    let tiled = TiledGraph::preprocess(&grid(120, 120), &config).expect("grid tiles");
+    let g = grid(120, 120);
+    let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
     let mut exec = StreamingExecutor::new(&tiled, &config, bfs_spec());
-    let (_, m) = bfs_rounds_on(&mut exec, bfs_spec(), tiled.num_vertices(), true);
+    let (_, m) = bfs_rounds_on(&mut exec, bfs_spec(), &g, true);
     ScenarioRow::from_metrics("sparse_frontier", &m)
 }
 
@@ -301,9 +310,10 @@ pub fn frontier_mask_dense() -> ScenarioRow {
 #[must_use]
 pub fn frontier_mask() -> ScenarioRow {
     let config = bench_config();
-    let tiled = TiledGraph::preprocess(&grid(240, 240), &config).expect("grid tiles");
+    let g = grid(240, 240);
+    let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
     let mut exec = StreamingExecutor::new(&tiled, &config, bfs_spec());
-    let (_, m) = bfs_rounds_on(&mut exec, bfs_spec(), tiled.num_vertices(), true);
+    let (_, m) = bfs_rounds_on(&mut exec, bfs_spec(), &g, true);
     ScenarioRow::from_metrics("frontier_mask", &m)
 }
 
@@ -325,9 +335,10 @@ pub fn fused_wave() -> ScenarioRow {
 #[must_use]
 pub fn out_of_core(disk: DiskModel, name: &'static str) -> ScenarioRow {
     let config = bench_config();
-    let tiled = TiledGraph::preprocess(&grid(240, 240), &config).expect("grid tiles");
+    let g = grid(240, 240);
+    let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
     let mut exec = StreamingExecutor::new(&tiled, &config, bfs_spec()).with_disk(disk);
-    let (_, m) = bfs_rounds_on(&mut exec, bfs_spec(), tiled.num_vertices(), true);
+    let (_, m) = bfs_rounds_on(&mut exec, bfs_spec(), &g, true);
     ScenarioRow::from_metrics(name, &m)
 }
 
@@ -336,14 +347,15 @@ pub fn out_of_core(disk: DiskModel, name: &'static str) -> ScenarioRow {
 #[must_use]
 pub fn cluster() -> ScenarioRow {
     let config = bench_config();
-    let tiled = TiledGraph::preprocess(&grid(120, 120), &config).expect("grid tiles");
+    let g = grid(120, 120);
+    let tiled = TiledGraph::preprocess(&g, &config).expect("grid tiles");
     let mut cluster = ClusterExecutor::new(
         &tiled,
         &config,
         bfs_spec(),
         MultiNodeConfig::pcie_cluster(4),
     );
-    let (_, m) = bfs_rounds_on(&mut cluster, bfs_spec(), tiled.num_vertices(), true);
+    let (_, m) = bfs_rounds_on(&mut cluster, bfs_spec(), &g, true);
     ScenarioRow::from_metrics("cluster_4node", &m)
 }
 

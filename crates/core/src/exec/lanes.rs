@@ -195,6 +195,17 @@ impl LaneFrontier {
         }
     }
 
+    /// Deactivates every lane at every vertex: one lane-word write per
+    /// union vertex plus a fill of the union mask, so the traversal loop
+    /// can reuse a spent frontier instead of reallocating `|V|` words.
+    pub fn clear_all(&mut self) {
+        for v in self.union.iter() {
+            self.words[v] = 0;
+        }
+        self.union.clear_all();
+        self.counts.fill(0);
+    }
+
     /// Number of active vertices in `lane` — O(1), the maintained count.
     #[must_use]
     pub fn lane_len(&self, lane: usize) -> u64 {
@@ -274,6 +285,19 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.lane_len(1), 1);
         assert_eq!(a.lane_len(2), 1);
+    }
+
+    #[test]
+    fn clear_all_equals_a_fresh_frontier() {
+        let mut lanes = LaneFrontier::new(200, 3);
+        lanes.set(0, 5);
+        lanes.set(2, 5);
+        lanes.set(1, 130);
+        lanes.set(2, 199);
+        lanes.clear_all();
+        assert_eq!(lanes, LaneFrontier::new(200, 3));
+        assert!(lanes.set(1, 130), "cleared bits can be set again");
+        assert_eq!(lanes.lane_len(1), 1);
     }
 
     #[test]

@@ -70,9 +70,14 @@ use crate::trace::TraceHandle;
 /// [`StreamingExecutor`] and by `graphr-runtime`'s parallel executor; the
 /// `sim` drivers are generic over it.
 ///
-/// The planned methods are the primitives; the plain [`ScanEngine::scan_mac`]
-/// and [`ScanEngine::scan_add_op`] are provided conveniences that execute
-/// the dense full plan.
+/// The planned methods are the primitives: [`ScanEngine::scan_mac_planned`]
+/// for the parallel-MAC pattern (§4.1) and
+/// [`ScanEngine::scan_add_op_lanes_planned`] for the parallel add-op
+/// pattern (§4.2), which advances K ≥ 1 traversal lanes per scan — a solo
+/// traversal is a one-lane scan. [`ScanEngine::scan_add_op_planned`] is a
+/// provided one-lane adapter over plain masks and label slices, and
+/// [`ScanEngine::scan_mac`] and [`ScanEngine::scan_add_op`] are provided
+/// conveniences that execute the dense full plan.
 pub trait ScanEngine {
     /// Builds a scan plan for this engine's preprocessed graph: the dense
     /// full plan for `None`, or one pruned to the subgraphs holding at
@@ -106,32 +111,14 @@ pub trait ScanEngine {
         inputs: &[&[f64]],
     ) -> Vec<Vec<f64>>;
 
-    /// One parallel-add-op pass (§4.2) over a plan; see
-    /// [`StreamingExecutor::scan_add_op_planned`].
-    #[allow(clippy::too_many_arguments)]
-    fn scan_add_op_planned(
-        &mut self,
-        plan: &ScanPlan,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64;
-
-    /// One fused parallel-add-op pass advancing all K lanes of `active`
-    /// over one plan — normally the *union* plan derived from
+    /// One parallel-add-op pass (§4.2) over a plan advancing all K lanes
+    /// of `active` — normally the *union* plan derived from
     /// [`LaneFrontier::union`], so one scan of the planned edge stream
     /// serves every query; see
     /// [`StreamingExecutor::scan_add_op_lanes_planned`]. `addends` and
     /// `frontiers` carry one buffer per lane; lowered destinations are
-    /// recorded per lane in `updated`. Returns the per-lane row drives.
-    ///
-    /// Defaulted to K successive single-lane passes so trait objects and
-    /// test doubles stay valid: per-lane results are identical, but the
-    /// fallback charges the machine per lane instead of sharing the
-    /// stream — real engines override with the fused scan.
+    /// recorded per lane in `updated` (set-only, so bits the caller seeded
+    /// survive). Returns the per-lane row drives.
     #[allow(clippy::too_many_arguments)]
     fn scan_add_op_lanes_planned(
         &mut self,
@@ -142,25 +129,43 @@ pub trait ScanEngine {
         active: &LaneFrontier,
         frontiers: &mut [Vec<f64>],
         updated: &mut LaneFrontier,
+    ) -> u64;
+
+    /// One parallel-add-op pass for a single query over a plan: a
+    /// one-lane [`ScanEngine::scan_add_op_lanes_planned`]. For each
+    /// planned subgraph holding an active source, the active rows are
+    /// driven serially and the candidate `combine(addend[src],
+    /// stored_weight)` is min-reduced into `frontier`; `updated` gains the
+    /// destinations whose label dropped. Returns the source-row
+    /// activations executed.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_add_op_planned(
+        &mut self,
+        plan: &ScanPlan,
+        value: &EdgeValueFn<'_>,
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+        addend: &[f64],
+        active: &FrontierMask,
+        frontier: &mut [f64],
+        updated: &mut FrontierMask,
     ) -> u64 {
-        let mut total = 0u64;
-        for q in 0..active.num_lanes() {
-            let lane_mask = active.lane(q);
-            let mut lane_updated = FrontierMask::new(active.num_vertices());
-            total += self.scan_add_op_planned(
-                plan,
-                value,
-                combine,
-                &addends[q],
-                &lane_mask,
-                &mut frontiers[q],
-                &mut lane_updated,
-            );
-            for v in lane_updated.iter() {
-                updated.set(q, v);
-            }
+        let lane_active = LaneFrontier::from_masks(std::slice::from_ref(active));
+        let mut lane_updated = LaneFrontier::from_masks(std::slice::from_ref(updated));
+        let mut frontiers = [frontier.to_vec()];
+        let rows = self.scan_add_op_lanes_planned(
+            plan,
+            value,
+            combine,
+            &[addend.to_vec()],
+            &lane_active,
+            &mut frontiers,
+            &mut lane_updated,
+        );
+        frontier.copy_from_slice(&frontiers[0]);
+        for v in lane_updated.union().iter() {
+            updated.set(v);
         }
-        total
+        rows
     }
 
     /// One parallel-MAC pass over the whole graph (the dense full plan).

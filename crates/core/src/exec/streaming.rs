@@ -7,11 +7,12 @@
 //!   through an `add`-configured sALU. PageRank and SpMV use one input
 //!   vector; collaborative filtering amortises one programming pass over
 //!   `F` feature vectors.
-//! * [`StreamingExecutor::scan_add_op`] — parallel add-op (§4.2): active
-//!   wordlines are driven one at a time (Figure 16 c3's `t = 1..4`); the
-//!   row's stored weights plus the source's distance label are min-reduced
-//!   into RegO by the sALU, and lowered destinations become active for the
-//!   next iteration.
+//! * [`StreamingExecutor::scan_add_op_lanes_planned`] — parallel add-op
+//!   (§4.2): active wordlines are driven one at a time (Figure 16 c3's
+//!   `t = 1..4`); the row's stored weights plus the source's distance
+//!   label are min-reduced into RegO by the sALU, and lowered destinations
+//!   become active for the next iteration. It advances K ≥ 1 traversal
+//!   lanes per scan; a solo traversal is one lane.
 //!
 //! Both primitives execute a [`ScanPlan`] — the ordered
 //! [`PlanUnit`](crate::exec::plan::PlanUnit)s of
@@ -230,116 +231,22 @@ impl<'a> StreamingExecutor<'a> {
         outputs
     }
 
-    /// One parallel-add-op pass (Figure 16 c3): for each tile containing an
-    /// edge from an active source, the active rows are driven serially; the
-    /// candidate `combine(addend[src], stored_weight)` is min-reduced into
-    /// `frontier`. Returns how many source-row activations executed.
+    /// One parallel-add-op pass (Figure 16 c3) advancing all K lanes of
+    /// `active` over one plan — normally the union plan built from
+    /// [`LaneFrontier::union`]; a solo traversal is one lane. Each planned
+    /// subgraph is streamed and programmed once; union-active rows are
+    /// driven once per lane holding them (every lane needs its own
+    /// `dist(u)` on the constant line, so lanes serialise on the
+    /// wordline), and each lane min-reduces the candidate
+    /// `combine(addends[q][src], stored_weight)` into its own
+    /// `frontiers[q]` buffer. Lowered destinations are recorded per lane
+    /// in `updated`. Returns the per-lane row drives.
     ///
     /// `combine` is the relaxation arithmetic — `du + w` for SSSP (the
-    /// crossbar row plus the constant line of Figure 16), `du + 1` for BFS,
-    /// plain `du` for label propagation. `addend` is the current label
-    /// vector (read for active sources), `frontier` the next labels
-    /// (min-updated in place), and `updated` marks destinations whose label
-    /// dropped (active next iteration).
-    pub fn scan_add_op(
-        &mut self,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64 {
-        let plan = self.planner.skeleton().full_plan();
-        self.scan_add_op_planned(&plan, value, combine, addend, active, frontier, updated)
-    }
-
-    /// [`StreamingExecutor::scan_add_op`] over an explicit [`ScanPlan`] —
-    /// typically one pruned by the current frontier, making the iteration
-    /// cost proportional to active work instead of `O(|E|)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_add_op_planned(
-        &mut self,
-        plan: &ScanPlan,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64 {
-        let n = self.tiled.num_vertices();
-        assert_eq!(addend.len(), n, "addend must have one entry per vertex");
-        assert_eq!(
-            active.num_vertices(),
-            n,
-            "active mask must range over every vertex"
-        );
-        assert_eq!(frontier.len(), n, "frontier must have one entry per vertex");
-        assert_eq!(
-            updated.num_vertices(),
-            n,
-            "updated mask must range over every vertex"
-        );
-        let width = self.config.strip_width();
-        let mut frontier_local = vec![0.0; width];
-        let mut updated_local = vec![false; width];
-        let mut total_rows = 0u64;
-        for punit in plan.units() {
-            let (ds, dl) = (punit.unit.dst_start, punit.unit.dst_len);
-            if dl > 0 {
-                frontier_local[..dl].copy_from_slice(&frontier[ds..ds + dl]);
-                updated_local[..dl].fill(false);
-            }
-            let mut unit_metrics = Metrics::new();
-            total_rows += self.scanner.scan_add_op_unit(
-                punit,
-                value,
-                combine,
-                addend,
-                active,
-                &mut frontier_local,
-                &mut updated_local,
-                &mut unit_metrics,
-            );
-            self.metrics.merge(&unit_metrics);
-            if dl > 0 {
-                frontier[ds..ds + dl].copy_from_slice(&frontier_local[..dl]);
-                // Units tile the destination axis disjointly and the scan
-                // only ever *sets* bits, so set-only write-back preserves
-                // whatever the caller seeded.
-                for (i, &hit) in updated_local[..dl].iter().enumerate() {
-                    if hit {
-                        updated.set(ds + i);
-                    }
-                }
-            }
-        }
-        self.metrics.charge_plan(plan.stats());
-        if let Some(disk) = &mut self.disk {
-            disk.charge_scan(self.tiled, plan, &mut self.metrics);
-        }
-        self.metrics.events.rego_capacity_required = self
-            .metrics
-            .events
-            .rego_capacity_required
-            .max(self.config.strip_width() as u64);
-        total_rows
-    }
-
-    /// One *fused* parallel-add-op pass advancing all K lanes of `active`
-    /// over one plan — normally the union plan built from
-    /// [`LaneFrontier::union`]. Each planned subgraph is streamed and
-    /// programmed once; union-active rows are driven once per lane holding
-    /// them (every lane needs its own `dist(u)` on the constant line, so
-    /// lanes serialise on the wordline), and each lane min-reduces into its
-    /// own `frontiers[q]` buffer. Lowered destinations are recorded per
-    /// lane in `updated`. Returns the per-lane row drives.
-    ///
-    /// With one lane this delegates to
-    /// [`StreamingExecutor::scan_add_op_planned`], so a K=1 fused run is
-    /// the unfused run — identical results *and* identical machine
-    /// accounting by construction.
+    /// crossbar row plus the constant line of Figure 16), `du + 1` for
+    /// BFS, plain `du` for label propagation. Executing a pruned plan
+    /// makes the iteration cost proportional to active work instead of
+    /// `O(|E|)`.
     #[allow(clippy::too_many_arguments)]
     pub fn scan_add_op_lanes_planned(
         &mut self,
@@ -373,23 +280,6 @@ impl<'a> StreamingExecutor<'a> {
                 n,
                 "lane {q} frontier must have one entry per vertex"
             );
-        }
-        if k == 1 {
-            let lane_mask = active.lane(0);
-            let mut lane_updated = FrontierMask::new(n);
-            let rows = self.scan_add_op_planned(
-                plan,
-                value,
-                combine,
-                &addends[0],
-                &lane_mask,
-                &mut frontiers[0],
-                &mut lane_updated,
-            );
-            for v in lane_updated.iter() {
-                updated.set(0, v);
-            }
-            return rows;
         }
         let width = self.config.strip_width();
         let addend_refs: Vec<&[f64]> = addends.iter().map(Vec::as_slice).collect();
@@ -480,21 +370,6 @@ impl ScanEngine for StreamingExecutor<'_> {
         inputs: &[&[f64]],
     ) -> Vec<Vec<f64>> {
         StreamingExecutor::scan_mac_planned(self, plan, value, inputs)
-    }
-
-    fn scan_add_op_planned(
-        &mut self,
-        plan: &ScanPlan,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64 {
-        StreamingExecutor::scan_add_op_planned(
-            self, plan, value, combine, addend, active, frontier, updated,
-        )
     }
 
     fn scan_add_op_lanes_planned(

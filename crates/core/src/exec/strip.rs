@@ -351,107 +351,32 @@ impl<'a> StripScanner<'a> {
         ev.bytes_streamed += edges * BYTES_PER_EDGE;
     }
 
-    /// One parallel-add-op pass over a single planned unit (Figure 16 c3):
-    /// active rows are driven serially; candidates are min-reduced into the
-    /// unit-local `frontier` (at least `strip_width` entries, pre-seeded
-    /// with the strip's current labels by the caller), with `updated`
-    /// marking lowered destinations. Returns the source-row activations
-    /// executed.
-    ///
-    /// Every subgraph the plan lists is *streamed* (edge bytes flow past
-    /// the scanner and are charged), but only those with an active source
-    /// row cost GE work; a subgraph with none counts as
-    /// `subgraphs_skipped_inactive`. Subgraphs a pruned plan excluded are
-    /// never streamed at all — the source-range index lets the controller
-    /// seek past them.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_add_op_unit(
-        &mut self,
-        punit: &PlanUnit,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &crate::exec::mask::FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut [bool],
-        metrics: &mut Metrics,
-    ) -> u64 {
-        let tiled = self.tiled;
-        let n = tiled.num_vertices();
-        let c = self.config.crossbar_size;
-        let unit = &punit.unit;
-        let sidx = unit.strip as usize;
-        let spec = self.tile.spec();
-        let mut salu = SAlu::new(ReduceOp::Min);
-        let mut total_rows: u64 = 0;
-
-        for row in &punit.rows {
-            let bidx = row.block as usize;
-            let block = &tiled.blocks()[bidx];
-            let strip = &block.strips[sidx];
-            // Per-tile active-row counts drive the packed timing.
-            let mut tile_rows: Vec<u64> = Vec::new();
-            let mut strip_edges = 0u64;
-            for &g in &row.subgraphs {
-                let sg = &strip.subgraphs[g as usize];
-                let src0 = tiled.subgraph_src_start(block, sg);
-                // Planned means streamed: the edge data passes the scanner
-                // whether or not any of its rows end up driven.
-                strip_edges += u64::from(sg.edges);
-                let stream_bytes = u64::from(sg.edges) * BYTES_PER_EDGE;
-                metrics.energy.memory += self.config.cost.memory_stream_energy(stream_bytes);
-                metrics.events.bytes_streamed += stream_bytes;
-                let active_rows: Vec<usize> = (0..c)
-                    .filter(|&r| src0 + r < n && active.get(src0 + r))
-                    .collect();
-                if active_rows.is_empty() {
-                    metrics.events.subgraphs_skipped_inactive += 1;
-                    continue;
-                }
-                total_rows += active_rows.len() as u64;
-                self.addop_subgraph(
-                    bidx,
-                    sidx,
-                    g as usize,
-                    unit,
-                    value,
-                    combine,
-                    addend,
-                    &active_rows,
-                    frontier,
-                    updated,
-                    &mut salu,
-                    spec,
-                    &mut tile_rows,
-                    metrics,
-                );
-            }
-            self.charge_addop_strip_time(&mut tile_rows, strip_edges, metrics);
-            self.charge_strip_writeback(self.config.strip_width().min(n), metrics);
-        }
-        metrics.events.salu_ops += salu.ops_performed();
-        total_rows
-    }
-
-    /// The fused multi-query variant of [`StripScanner::scan_add_op_unit`]:
-    /// one pass over a planned unit advances all K lanes of `active` at
-    /// once (Figure 16 c3 per lane, sharing the streamed edge data and the
-    /// programmed tiles).
+    /// One parallel-add-op pass over a single planned unit (Figure 16 c3
+    /// per lane): advances all K lanes of `active` at once, sharing the
+    /// streamed edge data and the programmed tiles; a solo traversal is
+    /// one lane.
     ///
     /// Each planned subgraph is streamed **once** and each tile programmed
     /// **once** for the whole batch — that sharing is the point of lane
     /// fusion — while row drives are charged per `(row, lane)` pair: every
     /// lane needs its own `dist(u)` on the constant line, so lanes
-    /// serialise on the wordline exactly like the single-query pattern.
-    /// `addends`/`frontiers` hold one buffer per lane (`frontiers`
-    /// pre-seeded with each lane's strip labels); `updated` holds one lane
-    /// word per local destination, pre-zeroed. Returns the per-lane row
-    /// drives executed.
+    /// serialise on the wordline. `addends`/`frontiers` hold one buffer
+    /// per lane (`frontiers` pre-seeded with each lane's strip labels, at
+    /// least `strip_width` entries); `updated` holds one lane word per
+    /// local destination, pre-zeroed. Returns the per-lane row drives
+    /// executed.
     ///
-    /// Per-lane results are bit-identical to K independent
-    /// [`StripScanner::scan_add_op_unit`] runs: lane `q` sees the same
-    /// tiles in the same order, the same ascending active rows restricted
-    /// to its own lane bit, and reduces into its own buffer.
+    /// Every subgraph the plan lists is *streamed* (edge bytes flow past
+    /// the scanner and are charged), but only those with a union-active
+    /// source row cost GE work; a subgraph with none counts as
+    /// `subgraphs_skipped_inactive`. Subgraphs a pruned plan excluded are
+    /// never streamed at all — the source-range index lets the controller
+    /// seek past them.
+    ///
+    /// Per-lane results are bit-identical to K independent one-lane runs:
+    /// lane `q` sees the same tiles in the same order, the same ascending
+    /// active rows restricted to its own lane bit, and reduces into its
+    /// own buffer.
     #[allow(clippy::too_many_arguments)]
     pub fn scan_add_op_lanes_unit(
         &mut self,
@@ -581,110 +506,10 @@ impl<'a> StripScanner<'a> {
         };
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn addop_subgraph(
-        &mut self,
-        bidx: usize,
-        sidx: usize,
-        g: usize,
-        unit: &StripUnit,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active_rows: &[usize],
-        frontier: &mut [f64],
-        updated: &mut [bool],
-        salu: &mut SAlu,
-        spec: graphr_units::FixedSpec,
-        tile_rows: &mut Vec<u64>,
-        metrics: &mut Metrics,
-    ) {
-        let tiled = self.tiled;
-        let n = tiled.num_vertices();
-        let c = self.config.crossbar_size;
-        let block = &tiled.blocks()[bidx];
-        let strip = &block.strips[sidx];
-        let sg = &strip.subgraphs[g];
-        let src0 = tiled.subgraph_src_start(block, sg);
-        let arrays = self.config.arrays_per_tile() as u64;
-        let tiles = sg.tiles.len() as u64;
-        let edges = u64::from(sg.edges);
-        let mut active_cells: u64 = 0;
-        let mut rows_driven: u64 = 0;
-
-        // --- functional compute ---
-        for tile in &sg.tiles {
-            self.value_buf.clear();
-            for e in &tile.entries {
-                let src = (src0 + e.row as usize) as u32;
-                let dst = tiled.tile_dst(block, strip, tile, e.col) as u32;
-                self.value_buf.push(value(e.weight, src, dst));
-            }
-            self.tile
-                .load(&tile.entries, &self.value_buf, MergeRule::Min);
-            let mut this_tile_rows = 0u64;
-            for &r in active_rows {
-                let entries = self.tile.row_entries(r);
-                if entries.is_empty() {
-                    continue; // no edge from this source in this tile
-                }
-                this_tile_rows += 1;
-                let src = src0 + r;
-                let du = addend[src];
-                for (col, w) in entries {
-                    active_cells += arrays;
-                    let dst = tiled.tile_dst(block, strip, tile, col as u8);
-                    if dst >= n {
-                        continue;
-                    }
-                    // The relaxation (e.g. dist(u) + w(u, v)), saturating
-                    // in the fixed-point datapath, then min via the sALU.
-                    let candidate = spec.quantize_value(combine(du, w));
-                    if salu.reduce_one(&mut frontier[dst - unit.dst_start], candidate) {
-                        updated[dst - unit.dst_start] = true;
-                    }
-                }
-            }
-            if this_tile_rows > 0 {
-                tile_rows.push(this_tile_rows);
-                rows_driven += this_tile_rows;
-            }
-        }
-
-        // --- energy & events (time is charged per strip) ---
-        let cost = &self.config.cost;
-        let cells = edges * arrays;
-        let conversions = tiles * c as u64 * arrays * rows_driven.max(1);
-        metrics.energy.program += cost.program_energy(cells);
-        metrics.energy.mvm += cost.mvm_energy(active_cells);
-        // Each activation drives one wordline plus the constant-1 line
-        // carrying dist(u) (Figure 16's green row).
-        metrics.energy.driver += cost.driver_energy(2 * arrays * rows_driven);
-        metrics.energy.adc += cost.adc_energy(conversions);
-        metrics.energy.sample_hold += cost.sample_hold_energy(conversions);
-        metrics.energy.shift_add += cost.shift_add_energy(conversions);
-        metrics.energy.salu += cost.salu_energy(c as u64 * rows_driven);
-        let reg_reads = rows_driven; // dist(u) per activation
-        let reg_writes = c as u64 * rows_driven; // RegO min-merge
-        metrics.energy.registers += cost.register_energy(reg_reads + reg_writes);
-        // Memory streaming is charged by the caller for every *planned*
-        // subgraph, driven or not.
-
-        let ev = &mut metrics.events;
-        ev.subgraphs_processed += 1;
-        ev.tiles_loaded += tiles;
-        ev.edges_loaded += edges;
-        ev.mvm_scans += rows_driven;
-        ev.rows_activated += active_rows.len() as u64;
-        ev.adc_conversions += conversions;
-        ev.register_reads += reg_reads;
-        ev.register_writes += reg_writes;
-    }
-
-    /// The fused-lane analogue of [`StripScanner::addop_subgraph`]: one
-    /// tile programming serves every lane; row drives, sALU reductions
-    /// and the dependent energy/conversion charges are per `(row, lane)`.
-    /// Returns the per-lane row activations attempted.
+    /// One planned subgraph of a parallel-add-op pass: one tile
+    /// programming serves every lane; row drives, sALU reductions and the
+    /// dependent energy/conversion charges are per `(row, lane)`. Returns
+    /// the per-lane row activations attempted.
     #[allow(clippy::too_many_arguments)]
     fn addop_lanes_subgraph(
         &mut self,
@@ -745,15 +570,19 @@ impl<'a> StripScanner<'a> {
                     lane_bits &= lane_bits - 1;
                     this_tile_rows += 1;
                     let du = addends[q][src];
+                    let frontier = &mut frontiers[q][..];
+                    let bit = 1u64 << q;
                     for &(col, w) in &entries {
                         active_cells += arrays;
                         let dst = tiled.tile_dst(block, strip, tile, col as u8);
                         if dst >= n {
                             continue;
                         }
+                        // The relaxation (e.g. dist(u) + w(u, v)), saturating
+                        // in the fixed-point datapath, then min via the sALU.
                         let candidate = spec.quantize_value(combine(du, w));
-                        if salu.reduce_one(&mut frontiers[q][dst - unit.dst_start], candidate) {
-                            updated[dst - unit.dst_start] |= 1u64 << q;
+                        if salu.reduce_one(&mut frontier[dst - unit.dst_start], candidate) {
+                            updated[dst - unit.dst_start] |= bit;
                         }
                     }
                 }
@@ -771,14 +600,18 @@ impl<'a> StripScanner<'a> {
         let conversions = tiles * c as u64 * arrays * rows_driven.max(1);
         metrics.energy.program += cost.program_energy(cells);
         metrics.energy.mvm += cost.mvm_energy(active_cells);
+        // Each activation drives one wordline plus the constant-1 line
+        // carrying dist(u) (Figure 16's green row).
         metrics.energy.driver += cost.driver_energy(2 * arrays * rows_driven);
         metrics.energy.adc += cost.adc_energy(conversions);
         metrics.energy.sample_hold += cost.sample_hold_energy(conversions);
         metrics.energy.shift_add += cost.shift_add_energy(conversions);
         metrics.energy.salu += cost.salu_energy(c as u64 * rows_driven);
-        let reg_reads = rows_driven;
-        let reg_writes = c as u64 * rows_driven;
+        let reg_reads = rows_driven; // dist(u) per activation
+        let reg_writes = c as u64 * rows_driven; // RegO min-merge
         metrics.energy.registers += cost.register_energy(reg_reads + reg_writes);
+        // Memory streaming is charged by the caller for every *planned*
+        // subgraph, driven or not.
 
         let ev = &mut metrics.events;
         ev.subgraphs_processed += 1;

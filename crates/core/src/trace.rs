@@ -129,9 +129,11 @@ pub enum TraceData {
     Iteration(Box<IterationSnapshot>),
     /// One lane's post-iteration frontier population in a fused
     /// multi-query traversal (see
-    /// [`LaneFrontier`](crate::exec::lanes::LaneFrontier)): emitted per
-    /// active lane per iteration by the fused drivers, so per-query
-    /// iteration counts are recoverable from the trace alone.
+    /// [`LaneFrontier`](crate::exec::lanes::LaneFrontier)): emitted for
+    /// runs of ≥ 2 lanes, per active lane per iteration, so per-query
+    /// iteration counts are recoverable from the trace alone. A one-lane
+    /// run (every solo BFS/SSSP/WCC) emits none — its frontier is
+    /// already the [`TraceData::Iteration`] event's.
     Lane {
         /// Lane (query) index within the fused batch.
         lane: u32,

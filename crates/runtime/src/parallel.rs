@@ -233,89 +233,6 @@ impl ScanEngine for ParallelExecutor<'_> {
         outputs
     }
 
-    fn scan_add_op_planned(
-        &mut self,
-        plan: &ScanPlan,
-        value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addend: &[f64],
-        active: &FrontierMask,
-        frontier: &mut [f64],
-        updated: &mut FrontierMask,
-    ) -> u64 {
-        let n = self.tiled.num_vertices();
-        assert_eq!(addend.len(), n, "addend must have one entry per vertex");
-        assert_eq!(
-            active.num_vertices(),
-            n,
-            "active mask must range over every vertex"
-        );
-        assert_eq!(frontier.len(), n, "frontier must have one entry per vertex");
-        assert_eq!(
-            updated.num_vertices(),
-            n,
-            "updated mask must range over every vertex"
-        );
-        let (tiled, config, spec) = (self.tiled, self.config, self.spec);
-        let punits = plan.units();
-        let frontier_in: &[f64] = frontier;
-
-        let per_unit = pool::run_indexed(
-            punits.len(),
-            self.threads,
-            || StripScanner::new(tiled, config, spec),
-            |scanner, idx| {
-                let punit = &punits[idx];
-                let (ds, dl) = (punit.unit.dst_start, punit.unit.dst_len);
-                let mut frontier_local = frontier_in.get(ds..ds + dl).unwrap_or(&[]).to_vec();
-                frontier_local.resize(config.strip_width(), 0.0);
-                let mut updated_local = vec![false; config.strip_width()];
-                let mut metrics = Metrics::new();
-                let rows = scanner.scan_add_op_unit(
-                    punit,
-                    value,
-                    combine,
-                    addend,
-                    active,
-                    &mut frontier_local,
-                    &mut updated_local,
-                    &mut metrics,
-                );
-                (frontier_local, updated_local, metrics, rows)
-            },
-        );
-
-        let mut total_rows = 0u64;
-        for (punit, (frontier_local, updated_local, unit_metrics, rows)) in
-            punits.iter().zip(&per_unit)
-        {
-            let (ds, dl) = (punit.unit.dst_start, punit.unit.dst_len);
-            self.metrics.merge(unit_metrics);
-            total_rows += rows;
-            if dl > 0 {
-                frontier[ds..ds + dl].copy_from_slice(&frontier_local[..dl]);
-                // Set-only write-back: units tile the destination axis
-                // disjointly and the scan never clears a bit, so the
-                // caller's seeded bits survive (same contract as serial).
-                for (i, &hit) in updated_local[..dl].iter().enumerate() {
-                    if hit {
-                        updated.set(ds + i);
-                    }
-                }
-            }
-        }
-        self.metrics.charge_plan(plan.stats());
-        if let Some(disk) = &mut self.disk {
-            disk.charge_scan(self.tiled, plan, &mut self.metrics);
-        }
-        self.metrics.events.rego_capacity_required = self
-            .metrics
-            .events
-            .rego_capacity_required
-            .max(self.config.strip_width() as u64);
-        total_rows
-    }
-
     fn scan_add_op_lanes_planned(
         &mut self,
         plan: &ScanPlan,
@@ -348,25 +265,6 @@ impl ScanEngine for ParallelExecutor<'_> {
                 n,
                 "lane {q} frontier must have one entry per vertex"
             );
-        }
-        if k == 1 {
-            // Delegate to the single-query path (as the serial executor
-            // does), so a K=1 fused run is the unfused run bit for bit.
-            let lane_mask = active.lane(0);
-            let mut lane_updated = FrontierMask::new(n);
-            let rows = self.scan_add_op_planned(
-                plan,
-                value,
-                combine,
-                &addends[0],
-                &lane_mask,
-                &mut frontiers[0],
-                &mut lane_updated,
-            );
-            for v in lane_updated.iter() {
-                updated.set(0, v);
-            }
-            return rows;
         }
         let (tiled, config, spec) = (self.tiled, self.config, self.spec);
         let punits = plan.units();
@@ -416,7 +314,9 @@ impl ScanEngine for ParallelExecutor<'_> {
                     frontier[ds..ds + dl].copy_from_slice(&local[..dl]);
                 }
                 // OR-only write-back in plan order — identical to the
-                // serial fused scan (same contract as `scan_add_op_planned`).
+                // serial scan: units tile the destination axis disjointly
+                // and the scan never clears a bit, so the caller's seeded
+                // bits survive.
                 for (i, &word) in updated_local[..dl].iter().enumerate() {
                     if word != 0 {
                         updated.or_lanes(ds + i, word);

@@ -162,7 +162,7 @@ fn strip_host_fields(line: &str) -> String {
     s
 }
 
-fn render_run(out: &mut String, graph_name: &str, graph: &EdgeList, sym_tiled: &TiledGraph) {
+fn render_graph(out: &mut String, graph_name: &str, graph: &EdgeList, sym_tiled: &TiledGraph) {
     let config = config();
     let tiled = TiledGraph::preprocess(graph, &config).expect("graph tiles");
     let spec = FixedSpec::new(16, 0).expect("Q16.0 is valid");
@@ -217,12 +217,16 @@ fn render() -> String {
         ("rmat", Rmat::new(60, 240).seed(7).max_weight(9).generate()),
         ("grid7x9", grid(7, 9)),
     ];
+    assert_ne!(
+        graphs[1].1.num_vertices() % config.crossbar_size,
+        0,
+        "the grid must leave a partial crossbar"
+    );
     let mut out = String::new();
     for (name, graph) in &graphs {
-        assert!(name != &"grid7x9" || graph.num_vertices() % config.crossbar_size != 0);
         let sym = symmetrised(graph);
         let sym_tiled = TiledGraph::preprocess(&sym, &config).expect("symmetrised tiles");
-        render_run(&mut out, name, graph, &sym_tiled);
+        render_graph(&mut out, name, graph, &sym_tiled);
     }
     out
 }
