@@ -167,8 +167,18 @@ impl LaneFrontier {
         true
     }
 
-    /// ORs a lane word into vertex `v` (the parallel merge path: unit
-    /// workers accumulate local lane words, merged in plan order).
+    /// Splits the frontier for writers of disjoint vertex ranges: the lane
+    /// words, to set bits in place, and a [`LaneTally`] that brings the
+    /// union and per-lane counts up to date for each written range.
+    pub(crate) fn split_words_mut(&mut self) -> (&mut [u64], LaneTally<'_>) {
+        let tally = LaneTally {
+            union: &mut self.union,
+            counts: &mut self.counts,
+        };
+        (&mut self.words, tally)
+    }
+
+    /// ORs a lane word into vertex `v`.
     ///
     /// # Panics
     ///
@@ -248,6 +258,30 @@ impl LaneFrontier {
     }
 }
 
+/// Union and per-lane count upkeep for lane words written in place
+/// through [`LaneFrontier::split_words_mut`].
+#[derive(Debug)]
+pub(crate) struct LaneTally<'l> {
+    union: &'l mut FrontierMask,
+    counts: &'l mut [u64],
+}
+
+impl LaneTally<'_> {
+    /// Records that the lane words of vertices `start ..` now read `words`
+    /// and that `fresh[q]` of their lane-`q` bits were newly set. Writers
+    /// may only set bits, never clear them.
+    pub(crate) fn record(&mut self, start: usize, words: &[u64], fresh: &[u64]) {
+        for (i, &word) in words.iter().enumerate() {
+            if word != 0 {
+                self.union.set(start + i);
+            }
+        }
+        for (count, &f) in self.counts.iter_mut().zip(fresh) {
+            *count += f;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +319,25 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.lane_len(1), 1);
         assert_eq!(a.lane_len(2), 1);
+    }
+
+    #[test]
+    fn in_place_words_with_tally_match_or_lanes() {
+        let mut seeded = LaneFrontier::new(100, 3);
+        seeded.set(1, 40);
+        let mut expected = seeded.clone();
+        for (v, word) in [(40, 0b011), (41, 0b100), (99, 0b001)] {
+            expected.or_lanes(v, word);
+        }
+        let (words, mut tally) = seeded.split_words_mut();
+        let range = &mut words[40..100];
+        range[0] |= 0b011;
+        range[1] |= 0b100;
+        range[59] |= 0b001;
+        tally.record(40, range, &[2, 0, 1]);
+        assert_eq!(seeded, expected);
+        assert_eq!(seeded.lane_len(0), 2);
+        assert_eq!(seeded.union().len(), 3);
     }
 
     #[test]

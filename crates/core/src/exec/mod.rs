@@ -30,12 +30,16 @@
 //!
 //! [`strip`] exposes the scan's parallel-safe decomposition: one
 //! [`strip::StripUnit`] per global destination strip, executed by a
-//! per-worker [`strip::StripScanner`]. The serial executor and any
-//! parallel driver consuming the same plan (such as `graphr-runtime`'s)
-//! produce bit-identical results and metrics by construction.
+//! per-worker [`strip::StripScanner`]. [`pool`] is the scoped worker pool
+//! that runs a plan's units: inline on the calling thread for one worker,
+//! on scoped threads for more, merging per-unit results in plan order
+//! either way. The executor therefore produces bit-identical results and
+//! metrics for every worker count by construction.
 //!
-//! [`ScanEngine`] abstracts over executors so the `sim` drivers can run
-//! the same algorithm loops on the serial executor or a parallel one. An
+//! [`ScanEngine`] abstracts over engines so the `sim` drivers can run the
+//! same algorithm loops on the single-node [`StreamingExecutor`] (any
+//! worker count) or on a [`ClusterExecutor`](crate::multinode::ClusterExecutor)
+//! of them. An
 //! engine may additionally carry an out-of-core
 //! [`DiskModel`] (see
 //! [`ScanEngine::set_disk`]): each executed plan then also charges the
@@ -49,6 +53,7 @@ pub mod lanes;
 pub mod mask;
 pub mod plan;
 pub mod planner;
+pub mod pool;
 pub mod streaming;
 pub mod strip;
 
@@ -66,9 +71,11 @@ use crate::outofcore::DiskModel;
 use crate::trace::TraceHandle;
 
 /// An executor capable of running the two streaming-apply scan
-/// primitives over [`ScanPlan`]s. Implemented by the serial
-/// [`StreamingExecutor`] and by `graphr-runtime`'s parallel executor; the
-/// `sim` drivers are generic over it.
+/// primitives over [`ScanPlan`]s. Implemented by the single-node
+/// [`StreamingExecutor`] — on one worker or many, with bit-identical
+/// results — and by the multi-node
+/// [`ClusterExecutor`](crate::multinode::ClusterExecutor); the `sim`
+/// drivers are generic over it.
 ///
 /// The planned methods are the primitives: [`ScanEngine::scan_mac_planned`]
 /// for the parallel-MAC pattern (§4.1) and
@@ -195,9 +202,10 @@ pub trait ScanEngine {
     /// [`IoPlan`](crate::outofcore::IoPlan) into
     /// [`Metrics::disk`](crate::metrics::DiskCounters), and each
     /// [`ScanEngine::end_iteration`] overlaps that iteration's loads
-    /// against its compute. Attach before the first scan; both executors
-    /// route through the same [`DiskAccountant`](crate::outofcore::DiskAccountant),
-    /// so serial and parallel disk accounting stay bit-identical.
+    /// against its compute. Attach before the first scan. Disk accounting
+    /// runs on the calling thread through one
+    /// [`DiskAccountant`](crate::outofcore::DiskAccountant), so it stays
+    /// bit-identical for every worker count.
     fn set_disk(&mut self, disk: Option<DiskModel>);
 
     /// Attaches (or detaches, with `None`) a trace handle: while

@@ -23,9 +23,9 @@
 //! out pruned plans per iteration at mask-intersection cost.
 //!
 //! Determinism: a plan lists its units in merge (`index`) order and, within
-//! a unit, block rows in streamed order. Serial and parallel executors
-//! consume the *same* plan through the same per-unit scanner entry points
-//! and merge per-unit metrics in plan order, so results and accounting stay
+//! a unit, block rows in streamed order. The executor consumes the plan
+//! through the same per-unit scanner entry points on any number of workers
+//! and merges per-unit metrics in plan order, so results and accounting stay
 //! bit-identical regardless of thread count — the same contract
 //! [`strip`](crate::exec::strip) established for dense scans.
 //!
@@ -234,10 +234,10 @@ impl PlanSkeleton {
     /// active mask: pruned when a mask is given and the controller is
     /// sparsity-aware, dense otherwise — `skip_empty = false` (the §3.3
     /// sparsity ablation) models a controller with no index to seek by,
-    /// which therefore cannot prune. This is the single policy point both
-    /// the serial and the parallel executor route their
+    /// which therefore cannot prune. This is the single policy point every
+    /// engine routes its
     /// [`ScanEngine::plan`](crate::exec::ScanEngine::plan) through, so
-    /// they cannot drift apart.
+    /// engines cannot drift apart.
     #[must_use]
     pub fn plan_for(
         &self,

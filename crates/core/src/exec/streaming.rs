@@ -15,13 +15,17 @@
 //!   lanes per scan; a solo traversal is one lane.
 //!
 //! Both primitives execute a [`ScanPlan`] — the ordered
-//! [`PlanUnit`](crate::exec::plan::PlanUnit)s of
-//! either the dense full plan or a frontier-pruned plan (see
-//! [`crate::exec::plan`]) — through a private [`StripScanner`]. That
-//! decomposition is the contract parallel drivers build on: executing the
-//! same plan's units on worker threads and merging per-unit [`Metrics`] in
-//! plan order reproduces this executor's results and accounting bit for
-//! bit (see [`crate::exec::strip`]).
+//! [`PlanUnit`]s of either the dense full plan or a frontier-pruned plan
+//! (see [`crate::exec::plan`]) — through [`StripScanner`]s, one per worker.
+//! The worker count is the executor's only mode: one worker (the default)
+//! runs every unit inline on the calling thread with one persistent
+//! scanner; more workers run the units on the scoped worker pool of
+//! [`crate::exec::pool`], mirroring GraphR's inter-subgraph GE
+//! parallelism on the host. Units tile the destination axis disjointly, so
+//! each unit writes straight into its own slice of the caller's output
+//! vectors, and per-unit [`Metrics`] are merged in plan order. Results and
+//! accounting are therefore bit-identical for every worker count (see
+//! [`crate::exec::strip`]).
 //!
 //! # Timing: dense tile packing within a strip
 //!
@@ -43,11 +47,12 @@
 
 use std::sync::Arc;
 
-use crate::config::{Fidelity, GraphRConfig};
-use crate::exec::lanes::LaneFrontier;
+use crate::config::GraphRConfig;
+use crate::exec::lanes::{LaneFrontier, MAX_LANES};
 use crate::exec::mask::{FrontierDelta, FrontierMask};
-use crate::exec::plan::{PlanSkeleton, ScanPlan};
+use crate::exec::plan::{PlanSkeleton, PlanUnit, ScanPlan};
 use crate::exec::planner::Planner;
+use crate::exec::pool;
 use crate::exec::strip::{mac_rego_capacity, StripScanner};
 use crate::exec::ScanEngine;
 use crate::metrics::Metrics;
@@ -63,11 +68,18 @@ pub type EdgeValueFn<'f> = dyn Fn(f32, u32, u32) -> f64 + Sync + 'f;
 /// The streaming-apply executor over one preprocessed graph.
 ///
 /// Reusable across iterations; every scan accumulates into the same
-/// [`Metrics`], which [`StreamingExecutor::into_metrics`] finally yields.
+/// [`Metrics`], which [`ScanEngine::take_metrics`] (or
+/// [`StreamingExecutor::into_metrics`]) finally yields. Runs on one worker
+/// unless [`StreamingExecutor::with_threads`] says otherwise; the worker
+/// count never changes results or accounting.
 pub struct StreamingExecutor<'a> {
     tiled: &'a TiledGraph,
     config: &'a GraphRConfig,
-    scanner: StripScanner<'a>,
+    spec: graphr_units::FixedSpec,
+    /// Workers a scan may use (at least 1).
+    threads: usize,
+    /// One scanner per worker, built on first use and kept across scans.
+    scanners: Vec<StripScanner<'a>>,
     planner: Planner,
     metrics: Metrics,
     disk: Option<DiskAccountant>,
@@ -87,21 +99,7 @@ impl<'a> StreamingExecutor<'a> {
         config: &'a GraphRConfig,
         spec: graphr_units::FixedSpec,
     ) -> Self {
-        Self::with_skeleton(tiled, config, spec, Arc::new(PlanSkeleton::build(tiled)))
-    }
-
-    /// Creates an executor reusing an already-built plan skeleton (a
-    /// session's cached one; it must have been built from this `tiled`).
-    /// Builds a fresh planner index — reuse a cached one via
-    /// [`StreamingExecutor::with_planner`] where available.
-    #[must_use]
-    pub fn with_skeleton(
-        tiled: &'a TiledGraph,
-        config: &'a GraphRConfig,
-        spec: graphr_units::FixedSpec,
-        skeleton: Arc<PlanSkeleton>,
-    ) -> Self {
-        let planner = Planner::new(tiled, skeleton);
+        let planner = Planner::new(tiled, Arc::new(PlanSkeleton::build(tiled)));
         Self::with_planner(tiled, config, spec, planner)
     }
 
@@ -118,13 +116,24 @@ impl<'a> StreamingExecutor<'a> {
         StreamingExecutor {
             tiled,
             config,
-            scanner: StripScanner::new(tiled, config, spec),
+            spec,
+            threads: 1,
+            scanners: Vec::new(),
             planner,
             metrics: Metrics::new(),
             disk: None,
             trace: None,
             span_mark: SpanMark::default(),
         }
+    }
+
+    /// Builder: lets scans shard their planned units across up to
+    /// `threads` workers (clamped to at least 1). Results, [`Metrics`] and
+    /// traces are bit-identical for every worker count.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
     }
 
     /// Builder form of [`ScanEngine::set_disk`]: prices every scan's disk
@@ -141,20 +150,11 @@ impl<'a> StreamingExecutor<'a> {
         &self.metrics
     }
 
-    /// Consumes the executor, yielding its metrics (closing any open disk
-    /// accounting window first).
+    /// Consumes the executor, yielding its metrics:
+    /// [`ScanEngine::take_metrics`] by value.
     #[must_use]
     pub fn into_metrics(mut self) -> Metrics {
-        if let Some(trace) = &self.trace {
-            trace.record_compute(&mut self.span_mark, &self.metrics);
-        }
-        if let Some(disk) = &mut self.disk {
-            let window = disk.commit(&mut self.metrics);
-            if let Some(trace) = &self.trace {
-                trace.record_disk(&window);
-            }
-        }
-        self.metrics
+        self.take_metrics()
     }
 
     /// Marks the end of one algorithm iteration (bumps the counter and
@@ -166,6 +166,11 @@ impl<'a> StreamingExecutor<'a> {
         if let Some(trace) = &self.trace {
             trace.record_compute(&mut self.span_mark, &self.metrics);
         }
+        self.commit_disk_window();
+    }
+
+    /// Closes the open disk window, if any, tracing it.
+    fn commit_disk_window(&mut self) {
         if let Some(disk) = &mut self.disk {
             let window = disk.commit(&mut self.metrics);
             if let Some(trace) = &self.trace {
@@ -201,33 +206,22 @@ impl<'a> StreamingExecutor<'a> {
             assert_eq!(x.len(), n, "input vectors must have one entry per vertex");
         }
         let mut outputs = vec![vec![0.0; n]; k];
-        let width = self.config.strip_width();
-        let mut local: Vec<Vec<f64>> = vec![vec![0.0; width]; k];
-        for punit in plan.units() {
-            for buf in &mut local {
-                buf.fill(0.0);
-            }
-            let mut unit_metrics = Metrics::new();
-            self.scanner
-                .scan_mac_unit(punit, value, inputs, &mut local, &mut unit_metrics);
-            self.metrics.merge(&unit_metrics);
-            let unit = &punit.unit;
-            if unit.dst_len > 0 {
-                for (out, buf) in outputs.iter_mut().zip(&local) {
-                    out[unit.dst_start..unit.dst_start + unit.dst_len]
-                        .copy_from_slice(&buf[..unit.dst_len]);
-                }
-            }
-        }
-        self.metrics.charge_plan(plan.stats());
-        if let Some(disk) = &mut self.disk {
-            disk.charge_scan(self.tiled, plan, &mut self.metrics);
-        }
-        self.metrics.events.rego_capacity_required = self
-            .metrics
-            .events
-            .rego_capacity_required
-            .max(mac_rego_capacity(self.config, self.tiled));
+        let units = plan.units();
+        let mut slices = unit_major_slices(outputs.iter_mut().map(Vec::as_mut_slice), units);
+        let (tiled, config, spec) = (self.tiled, self.config, self.spec);
+        pool::run_ordered(
+            &mut self.scanners,
+            self.threads,
+            || StripScanner::new(tiled, config, spec),
+            units.iter().zip(slices.chunks_mut(k)),
+            |scanner, (punit, outs)| {
+                let mut unit_metrics = Metrics::new();
+                scanner.scan_mac_unit(punit, value, inputs, outs, &mut unit_metrics);
+                unit_metrics
+            },
+            |unit_metrics| self.metrics.merge(&unit_metrics),
+        );
+        self.finish_scan(plan, mac_rego_capacity(config, tiled));
         outputs
     }
 
@@ -281,63 +275,90 @@ impl<'a> StreamingExecutor<'a> {
                 "lane {q} frontier must have one entry per vertex"
             );
         }
-        let width = self.config.strip_width();
+        let units = plan.units();
         let addend_refs: Vec<&[f64]> = addends.iter().map(Vec::as_slice).collect();
-        let mut frontier_locals: Vec<Vec<f64>> = vec![vec![0.0; width]; k];
-        let mut updated_local = vec![0u64; width];
+        let mut frontier_slices =
+            unit_major_slices(frontiers.iter_mut().map(Vec::as_mut_slice), units);
+        let (words, mut tally) = updated.split_words_mut();
+        let word_slices = unit_major_slices([words], units);
+        let (tiled, config, spec) = (self.tiled, self.config, self.spec);
         let mut total_rows = 0u64;
-        for punit in plan.units() {
-            let (ds, dl) = (punit.unit.dst_start, punit.unit.dst_len);
-            if dl > 0 {
-                for (buf, frontier) in frontier_locals.iter_mut().zip(frontiers.iter()) {
-                    buf[..dl].copy_from_slice(&frontier[ds..ds + dl]);
-                }
-                updated_local[..dl].fill(0);
-            }
-            let mut unit_metrics = Metrics::new();
-            total_rows += self.scanner.scan_add_op_lanes_unit(
-                punit,
-                value,
-                combine,
-                &addend_refs,
-                active,
-                &mut frontier_locals,
-                &mut updated_local,
-                &mut unit_metrics,
-            );
-            self.metrics.merge(&unit_metrics);
-            if dl > 0 {
-                for (buf, frontier) in frontier_locals.iter().zip(frontiers.iter_mut()) {
-                    frontier[ds..ds + dl].copy_from_slice(&buf[..dl]);
-                }
-                // Units tile the destination axis disjointly and the scan
-                // only ever *sets* lane bits, so OR-only write-back
-                // preserves whatever the caller seeded.
-                for (i, &word) in updated_local[..dl].iter().enumerate() {
-                    if word != 0 {
-                        updated.or_lanes(ds + i, word);
-                    }
-                }
-            }
-        }
+        pool::run_ordered(
+            &mut self.scanners,
+            self.threads,
+            || StripScanner::new(tiled, config, spec),
+            units
+                .iter()
+                .zip(frontier_slices.chunks_mut(k))
+                .zip(word_slices),
+            |scanner, ((punit, fronts), words)| {
+                let mut fresh = [0u64; MAX_LANES];
+                let mut unit_metrics = Metrics::new();
+                let rows = scanner.scan_add_op_lanes_unit(
+                    punit,
+                    value,
+                    combine,
+                    &addend_refs,
+                    active,
+                    fronts,
+                    words,
+                    &mut fresh,
+                    &mut unit_metrics,
+                );
+                let words: &[u64] = words;
+                (punit.unit.dst_start, words, fresh, unit_metrics, rows)
+            },
+            |(dst_start, words, fresh, unit_metrics, rows)| {
+                self.metrics.merge(&unit_metrics);
+                total_rows += rows;
+                tally.record(dst_start, words, &fresh);
+            },
+        );
+        // Every lane keeps its own strip window open in RegO.
+        self.finish_scan(plan, (k * config.strip_width()) as u64);
+        total_rows
+    }
+
+    /// The tail every scan shares: the plan's pruning charges, the disk
+    /// loading it implies, and the RegO capacity the scan needed.
+    fn finish_scan(&mut self, plan: &ScanPlan, rego_capacity: u64) {
         self.metrics.charge_plan(plan.stats());
         if let Some(disk) = &mut self.disk {
             disk.charge_scan(self.tiled, plan, &mut self.metrics);
         }
-        // Every lane keeps its own strip window open in RegO.
-        self.metrics.events.rego_capacity_required = self
-            .metrics
-            .events
-            .rego_capacity_required
-            .max((k * self.config.strip_width()) as u64);
-        total_rows
+        let events = &mut self.metrics.events;
+        events.rego_capacity_required = events.rego_capacity_required.max(rego_capacity);
     }
+}
 
-    /// Whether the executor runs full analog emulation.
-    #[must_use]
-    pub fn is_analog(&self) -> bool {
-        matches!(self.config.fidelity, Fidelity::Analog)
+/// Splits every buffer of `bufs` into the destination ranges of `units`
+/// and lays the slices out unit-major: unit `u`'s slices are
+/// `[u * B .. (u + 1) * B]` for `B` buffers.
+///
+/// Units come in plan order, which tiles the destination axis disjointly
+/// and in ascending order, so `split_at_mut` alone hands out the ranges.
+fn unit_major_slices<'b, T>(
+    bufs: impl IntoIterator<Item = &'b mut [T]>,
+    units: &[Arc<PlanUnit>],
+) -> Vec<&'b mut [T]> {
+    let mut rests: Vec<(&mut [T], usize)> = bufs.into_iter().map(|buf| (buf, 0)).collect();
+    let mut slices = Vec::with_capacity(units.len() * rests.len());
+    for punit in units {
+        let (start, len) = (punit.unit.dst_start, punit.unit.dst_len);
+        for (rest, offset) in &mut rests {
+            if len == 0 {
+                // Padding-only strip: nothing to write.
+                slices.push(&mut [][..]);
+                continue;
+            }
+            let (_, tail) = std::mem::take(rest).split_at_mut(start - *offset);
+            let (mine, tail) = tail.split_at_mut(len);
+            *rest = tail;
+            *offset = start + len;
+            slices.push(mine);
+        }
     }
+    slices
 }
 
 impl ScanEngine for StreamingExecutor<'_> {
@@ -388,12 +409,7 @@ impl ScanEngine for StreamingExecutor<'_> {
     }
 
     fn set_disk(&mut self, disk: Option<DiskModel>) {
-        if let Some(acc) = &mut self.disk {
-            let window = acc.commit(&mut self.metrics);
-            if let Some(trace) = &self.trace {
-                trace.record_disk(&window);
-            }
-        }
+        self.commit_disk_window();
         self.disk = disk.map(|model| DiskAccountant::new(model, self.metrics.elapsed));
     }
 
@@ -422,11 +438,8 @@ impl ScanEngine for StreamingExecutor<'_> {
         if let Some(trace) = &self.trace {
             trace.record_compute(&mut self.span_mark, &self.metrics);
         }
+        self.commit_disk_window();
         if let Some(disk) = &mut self.disk {
-            let window = disk.commit(&mut self.metrics);
-            if let Some(trace) = &self.trace {
-                trace.record_disk(&window);
-            }
             disk.reset();
         }
         self.span_mark = SpanMark::default();
@@ -437,7 +450,7 @@ impl ScanEngine for StreamingExecutor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GraphRConfig, StreamingOrder};
+    use crate::config::{Fidelity, GraphRConfig, StreamingOrder};
     use graphr_graph::algorithms::spmv::spmv;
     use graphr_graph::generators::rmat::Rmat;
     use graphr_graph::EdgeList;
@@ -695,5 +708,173 @@ mod tests {
         exec.end_iteration();
         assert_eq!(exec.metrics().iterations, 2);
         assert!(exec.metrics().elapsed.as_nanos() > 0.0);
+    }
+
+    /// Worker counts the bit-identity tests sweep: the inline path, a
+    /// small pool, and a pool wider than some plans.
+    const WORKERS: [usize; 3] = [1, 2, 7];
+
+    #[test]
+    fn mac_is_bit_identical_for_every_worker_count() {
+        let g = Rmat::new(300, 2000).seed(3).max_weight(7).generate();
+        let cfg = small_config(Fidelity::Fast);
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        let spec = FixedSpec::new(16, 8).unwrap();
+        let x: Vec<f64> = (0..300).map(|i| (i % 11) as f64 * 0.125).collect();
+        let x2: Vec<f64> = (0..300).map(|i| (i % 3) as f64).collect();
+
+        let mut one = StreamingExecutor::new(&tiled, &cfg, spec);
+        let y1 = one.scan_mac(&weights_value, &[&x, &x2]);
+        let m1 = one.into_metrics();
+        for threads in WORKERS {
+            let mut exec = StreamingExecutor::new(&tiled, &cfg, spec).with_threads(threads);
+            let y = exec.scan_mac(&weights_value, &[&x, &x2]);
+            assert_eq!(y, y1, "results must be bit-identical ({threads} workers)");
+            assert_eq!(exec.into_metrics(), m1, "metrics ({threads} workers)");
+        }
+    }
+
+    #[test]
+    fn add_op_rounds_are_bit_identical_for_every_worker_count() {
+        let g = Rmat::new(200, 1200).seed(5).max_weight(9).generate();
+        let cfg = small_config(Fidelity::Fast);
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        let spec = FixedSpec::new(16, 0).unwrap();
+        let inf = spec.max_value();
+        let combine = |du: f64, w: f64| du + w;
+
+        let run = |threads: usize| {
+            let mut exec = StreamingExecutor::new(&tiled, &cfg, spec).with_threads(threads);
+            let mut dist = vec![inf; 200];
+            dist[0] = 0.0;
+            let mut active = FrontierMask::new(200);
+            active.set(0);
+            let mut rows_history = Vec::new();
+            while !active.is_empty() {
+                let plan = exec.plan(Some(&active));
+                let mut frontier = dist.clone();
+                let mut updated = FrontierMask::new(200);
+                rows_history.push(exec.scan_add_op_planned(
+                    &plan,
+                    &weights_value,
+                    &combine,
+                    &dist,
+                    &active,
+                    &mut frontier,
+                    &mut updated,
+                ));
+                exec.end_iteration();
+                dist = frontier;
+                active = updated;
+            }
+            (dist, rows_history, exec.into_metrics())
+        };
+
+        let one = run(1);
+        assert!(one.1.len() > 2, "the traversal must take several rounds");
+        for threads in WORKERS {
+            assert_eq!(run(threads), one, "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn fused_lanes_are_bit_identical_for_every_worker_count() {
+        use crate::sim::{run_sssp_lanes_with, LaneTraversalOptions};
+        let g = Rmat::new(200, 1200).seed(5).max_weight(9).generate();
+        let cfg = small_config(Fidelity::Fast);
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        for sources in [vec![0u32], vec![0, 3, 50, 199]] {
+            let opts = LaneTraversalOptions::new(sources);
+            let mut one = StreamingExecutor::new(&tiled, &cfg, opts.spec);
+            let gold = run_sssp_lanes_with(&g, &mut one, &opts).unwrap();
+            for threads in WORKERS {
+                let mut exec =
+                    StreamingExecutor::new(&tiled, &cfg, opts.spec).with_threads(threads);
+                let run = run_sssp_lanes_with(&g, &mut exec, &opts).unwrap();
+                assert_eq!(run.distances, gold.distances, "{threads} workers");
+                assert_eq!(run.metrics, gold.metrics, "{threads} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn more_workers_than_planned_units() {
+        let g = Rmat::new(300, 2000).seed(8).max_weight(5).generate();
+        let cfg = small_config(Fidelity::Fast);
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        let spec = FixedSpec::new(16, 0).unwrap();
+        let inf = spec.max_value();
+        let mut active = FrontierMask::new(300);
+        active.set(7);
+
+        let run = |threads: usize| {
+            let mut exec = StreamingExecutor::new(&tiled, &cfg, spec).with_threads(threads);
+            let plan = exec.plan(Some(&active));
+            let mut dist = vec![inf; 300];
+            dist[7] = 0.0;
+            let mut frontier = dist.clone();
+            let mut updated = FrontierMask::new(300);
+            let rows = exec.scan_add_op_planned(
+                &plan,
+                &weights_value,
+                &|du, w| du + w,
+                &dist,
+                &active,
+                &mut frontier,
+                &mut updated,
+            );
+            let units = plan.units().len();
+            let workers = exec.scanners.len();
+            (frontier, updated, rows, exec.into_metrics(), units, workers)
+        };
+
+        let one = run(1);
+        let units = one.4;
+        assert!(units > 0 && units < 64, "one active vertex plans few units");
+        let wide = run(64);
+        assert!(wide.5 <= units, "{} workers for {units} units", wide.5);
+        assert_eq!(wide.0, one.0);
+        assert_eq!(wide.1, one.1);
+        assert_eq!(wide.2, one.2);
+        assert_eq!(wide.3, one.3);
+    }
+
+    #[test]
+    fn fully_pruned_plan_scans_nothing() {
+        let g = Rmat::new(100, 500).seed(4).generate();
+        let cfg = small_config(Fidelity::Fast);
+        let tiled = TiledGraph::preprocess(&g, &cfg).unwrap();
+        let spec = FixedSpec::new(16, 0).unwrap();
+        let nothing = FrontierMask::new(100);
+        let x = vec![0.0; 100];
+        let mut gold = None;
+        for threads in WORKERS {
+            let mut exec = StreamingExecutor::new(&tiled, &cfg, spec).with_threads(threads);
+            let plan = exec.plan(Some(&nothing));
+            assert!(plan.units().is_empty());
+            let y = exec.scan_mac_planned(&plan, &weights_value, &[&x]);
+            assert_eq!(y, vec![vec![0.0; 100]]);
+            let mut frontier = vec![1.0; 100];
+            let mut updated = FrontierMask::new(100);
+            let rows = exec.scan_add_op_planned(
+                &plan,
+                &weights_value,
+                &|du, w| du + w,
+                &x,
+                &nothing,
+                &mut frontier,
+                &mut updated,
+            );
+            assert_eq!(rows, 0);
+            assert_eq!(frontier, vec![1.0; 100]);
+            assert!(updated.is_empty());
+            let m = exec.into_metrics();
+            assert_eq!(m.events.subgraphs_processed, 0);
+            assert_eq!(
+                *gold.get_or_insert_with(|| m.clone()),
+                m,
+                "{threads} workers"
+            );
+        }
     }
 }

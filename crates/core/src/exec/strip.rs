@@ -9,17 +9,16 @@
 //! inter-subgraph GE parallelism. A [`StripUnit`] names one such unit;
 //! [`StripScanner`] executes one unit with private engine state
 //! ([`TileCompute`], [`SAlu`], scratch buffers), writing functional
-//! results into unit-local buffers and charging time/energy into a
-//! unit-local [`Metrics`].
+//! results into the unit's own slice of each output vector (only
+//! destinations `dst_start .. dst_start + dst_len` are ever written) and
+//! charging time/energy into a unit-local [`Metrics`].
 //!
 //! Determinism contract: a scan is the [`PlanUnit`]s of a
-//! [`ScanPlan`](crate::exec::plan::ScanPlan) executed in plan order with
-//! their metrics [`Metrics::merge`]d in that same order. The serial
-//! [`StreamingExecutor`] does exactly this, and any parallel driver that
-//! executes the same plan's units on worker threads but merges in plan
-//! order produces **bit-identical** results and metrics — every
-//! floating-point reduction happens inside one unit, in one deterministic
-//! order, regardless of which thread ran it.
+//! [`ScanPlan`](crate::exec::plan::ScanPlan) executed with their metrics
+//! [`Metrics::merge`]d in plan order. [`StreamingExecutor`] does exactly
+//! this on any number of workers, and the result is **bit-identical** for
+//! every worker count — every floating-point reduction happens inside one
+//! unit, in one deterministic order, regardless of which thread ran it.
 //!
 //! [`StreamingExecutor`]: crate::exec::streaming::StreamingExecutor
 
@@ -140,8 +139,8 @@ impl<'a> StripScanner<'a> {
 
     /// One parallel-MAC pass over a single planned unit: for each input
     /// vector in `inputs`, accumulates `y[dst - dst_start] += value(w, src,
-    /// dst) · x[src]` into the unit-local `outputs` (one buffer of at least
-    /// `strip_width` entries per input, pre-zeroed by the caller), charging
+    /// dst) · x[src]` into `outputs` (one slice per input covering exactly
+    /// the unit's `dst_len` destinations, pre-zeroed by the caller), charging
     /// the planned work's share of time and energy into `metrics`. Only the
     /// block rows and subgraphs the plan lists are visited.
     pub fn scan_mac_unit(
@@ -149,7 +148,7 @@ impl<'a> StripScanner<'a> {
         punit: &PlanUnit,
         value: &EdgeValueFn<'_>,
         inputs: &[&[f64]],
-        outputs: &mut [Vec<f64>],
+        outputs: &mut [&mut [f64]],
         metrics: &mut Metrics,
     ) {
         let tiled = self.tiled;
@@ -279,7 +278,7 @@ impl<'a> StripScanner<'a> {
         unit: &StripUnit,
         value: &EdgeValueFn<'_>,
         inputs: &[&[f64]],
-        outputs: &mut [Vec<f64>],
+        outputs: &mut [&mut [f64]],
         salu: &mut SAlu,
         metrics: &mut Metrics,
     ) {
@@ -360,11 +359,13 @@ impl<'a> StripScanner<'a> {
     /// **once** for the whole batch — that sharing is the point of lane
     /// fusion — while row drives are charged per `(row, lane)` pair: every
     /// lane needs its own `dist(u)` on the constant line, so lanes
-    /// serialise on the wordline. `addends`/`frontiers` hold one buffer
-    /// per lane (`frontiers` pre-seeded with each lane's strip labels, at
-    /// least `strip_width` entries); `updated` holds one lane word per
-    /// local destination, pre-zeroed. Returns the per-lane row drives
-    /// executed.
+    /// serialise on the wordline. `addends` hold one whole-graph vector
+    /// per lane; `frontiers` one slice per lane covering exactly the
+    /// unit's `dst_len` destinations, pre-seeded with the lane's labels;
+    /// `updated` the lane words of exactly those destinations. The scan
+    /// only ever sets bits there, so the caller's bits survive, and
+    /// `fresh[q]` counts the bits it newly set in lane `q`. Returns the
+    /// per-lane row drives executed.
     ///
     /// Every subgraph the plan lists is *streamed* (edge bytes flow past
     /// the scanner and are charged), but only those with a union-active
@@ -385,8 +386,9 @@ impl<'a> StripScanner<'a> {
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
         addends: &[&[f64]],
         active: &crate::exec::lanes::LaneFrontier,
-        frontiers: &mut [Vec<f64>],
+        frontiers: &mut [&mut [f64]],
         updated: &mut [u64],
+        fresh: &mut [u64],
         metrics: &mut Metrics,
     ) -> u64 {
         let tiled = self.tiled;
@@ -432,6 +434,7 @@ impl<'a> StripScanner<'a> {
                     &active_rows,
                     frontiers,
                     updated,
+                    fresh,
                     &mut salu,
                     spec,
                     &mut tile_rows,
@@ -522,8 +525,9 @@ impl<'a> StripScanner<'a> {
         addends: &[&[f64]],
         active: &crate::exec::lanes::LaneFrontier,
         active_rows: &[usize],
-        frontiers: &mut [Vec<f64>],
+        frontiers: &mut [&mut [f64]],
         updated: &mut [u64],
+        fresh: &mut [u64],
         salu: &mut SAlu,
         spec: graphr_units::FixedSpec,
         tile_rows: &mut Vec<u64>,
@@ -582,7 +586,12 @@ impl<'a> StripScanner<'a> {
                         // in the fixed-point datapath, then min via the sALU.
                         let candidate = spec.quantize_value(combine(du, w));
                         if salu.reduce_one(&mut frontier[dst - unit.dst_start], candidate) {
-                            updated[dst - unit.dst_start] |= bit;
+                            // Branch-free: whether the bit is already set
+                            // is unpredictable, and branching on it made
+                            // solo traversal scans measurably slower.
+                            let word = &mut updated[dst - unit.dst_start];
+                            fresh[q] += u64::from(*word & bit == 0);
+                            *word |= bit;
                         }
                     }
                 }
@@ -687,15 +696,12 @@ mod tests {
         let mut scanner = StripScanner::new(&tiled, &cfg, spec);
         let mut merged = Metrics::new();
         let mut out = vec![0.0; 120];
-        let w = cfg.strip_width();
         for punit in plan.units() {
-            let mut local = vec![vec![0.0; w]];
-            let mut m = Metrics::new();
-            scanner.scan_mac_unit(punit, &|w, _, _| f64::from(w), &[&x], &mut local, &mut m);
-            merged.merge(&m);
             let unit = &punit.unit;
-            out[unit.dst_start..unit.dst_start + unit.dst_len]
-                .copy_from_slice(&local[0][..unit.dst_len]);
+            let mut mine = [&mut out[unit.dst_start..unit.dst_start + unit.dst_len]];
+            let mut m = Metrics::new();
+            scanner.scan_mac_unit(punit, &|w, _, _| f64::from(w), &[&x], &mut mine, &mut m);
+            merged.merge(&m);
         }
         merged.events.rego_capacity_required = merged
             .events

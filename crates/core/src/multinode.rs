@@ -378,7 +378,8 @@ impl<'a> ClusterExecutor<'a> {
     }
 
     /// A cluster over caller-built per-node engines (`make_engine(k)`
-    /// builds node `k`'s — e.g. `graphr-runtime`'s parallel executor).
+    /// builds node `k`'s — e.g. a multi-worker
+    /// [`StreamingExecutor`]).
     /// Every engine must have been built over this same `tiled` (and, for
     /// cached skeletons, the same skeleton `planner` was built from).
     ///

@@ -466,10 +466,10 @@ impl IoIndex {
 /// boundary, overlaps the iteration's accumulated disk time against the
 /// compute time the iteration added to [`Metrics::elapsed`].
 ///
-/// Both the serial and the parallel executor drive the *same* accountant
-/// methods from the same call sites (one `charge_scan` per executed plan,
-/// one `commit` per `end_iteration`/`take_metrics`), so their disk
-/// accounting is bit-identical by construction — the same contract the
+/// The executor drives the accountant on the calling thread from the same
+/// call sites for every worker count (one `charge_scan` per executed plan,
+/// one `commit` per `end_iteration`/`take_metrics`), so disk accounting is
+/// bit-identical by construction — the same contract the
 /// plan-order metrics merge establishes for compute accounting.
 pub struct DiskAccountant {
     model: DiskModel,

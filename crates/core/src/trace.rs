@@ -8,8 +8,8 @@
 //! * the `sim` drivers emit one [`TraceData::Iteration`] snapshot per
 //!   algorithm iteration (frontier size plus the *deltas* every counter
 //!   family accumulated that iteration),
-//! * the engines ([`StreamingExecutor`](crate::exec::StreamingExecutor),
-//!   the runtime's parallel executor, and each
+//! * the engines ([`StreamingExecutor`](crate::exec::StreamingExecutor)
+//!   on any number of workers, and each
 //!   [`ClusterExecutor`](crate::multinode::ClusterExecutor) node shard)
 //!   emit per-iteration [`TraceData::Compute`] spans on their node-local
 //!   simulated clock,

@@ -119,7 +119,7 @@ fn run(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
-                threads_override = Some(v.parse::<usize>().map_err(|e| e.to_string())?);
+                threads_override = Some(parse_threads(v)?);
             }
             "--serial" => force_serial = true,
             "--batch" => force_batch = true,
@@ -129,11 +129,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             "--report" => {
                 let v = it.next().ok_or("--report needs a value (text|json)")?;
-                report_json = match v.as_str() {
-                    "json" => true,
-                    "text" => false,
-                    other => return Err(format!("unknown report format '{other}' (text|json)")),
-                };
+                report_json = parse_report(v)?;
             }
             "--stats" => {
                 let v = it
@@ -504,6 +500,28 @@ fn parse_trace(value: &str) -> Option<String> {
     }
 }
 
+/// Parses a worker-thread count as used by `--threads` and the `threads`
+/// directive: a positive integer.
+fn parse_threads(value: &str) -> Result<usize, String> {
+    let n: usize = value
+        .parse()
+        .map_err(|e| format!("bad thread count '{value}': {e}"))?;
+    if n == 0 {
+        return Err("a run needs at least one worker thread".into());
+    }
+    Ok(n)
+}
+
+/// Parses a report format as used by `--report`: `true` for `json`,
+/// `false` for `text`.
+fn parse_report(value: &str) -> Result<bool, String> {
+    match value {
+        "json" => Ok(true),
+        "text" => Ok(false),
+        other => Err(format!("unknown report format '{other}' (text|json)")),
+    }
+}
+
 /// Parses a node count as used by `--nodes` and the `nodes` directive: a
 /// positive integer (`1` = a one-node cluster, bit-identical to
 /// single-node execution), or `single`/`none` for plain single-node
@@ -585,7 +603,7 @@ fn parse_job_file(text: &str) -> Result<Plan, String> {
                 let v = fields
                     .get(1)
                     .ok_or_else(|| err("threads needs a value".into()))?;
-                plan.threads = Some(v.parse().map_err(|e| err(format!("{e}")))?);
+                plan.threads = Some(parse_threads(v).map_err(err)?);
             }
             "mode" => match fields.get(1).copied() {
                 Some("serial") => plan.mode = ExecMode::Serial,
@@ -793,4 +811,70 @@ fn parse_job(fields: &[&str], datasets: &HashMap<String, GraphHandle>) -> Result
         .into_iter()
         .map(|spec| Job::new(handle.clone(), spec))
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn malformed_values_are_errors_not_panics() {
+        let cases: [(&str, Result<(), String>); 14] = [
+            ("threads 0", parse_threads("0").map(drop)),
+            ("threads -1", parse_threads("-1").map(drop)),
+            ("threads four", parse_threads("four").map(drop)),
+            ("threads empty", parse_threads("").map(drop)),
+            ("nodes 0", parse_nodes("0").map(drop)),
+            ("nodes two", parse_nodes("two").map(drop)),
+            ("disk floppy", parse_disk("floppy").map(drop)),
+            ("owner random", parse_owner("random").map(drop)),
+            ("prefetch maybe", parse_prefetch("maybe").map(drop)),
+            ("report xml", parse_report("xml").map(drop)),
+            ("--threads 0", run(&args(&["demo.jobs", "--threads", "0"]))),
+            ("--nodes 0", run(&args(&["demo.jobs", "--nodes", "0"]))),
+            (
+                "--stats without a value",
+                run(&args(&["demo.jobs", "--stats"])),
+            ),
+            (
+                "--threads without a value",
+                run(&args(&["demo.jobs", "--threads"])),
+            ),
+        ];
+        for (what, result) in cases {
+            assert!(result.is_err(), "{what} must be rejected");
+        }
+    }
+
+    #[test]
+    fn malformed_directives_are_line_errors() {
+        const JOB: &str = "dataset g rmat 64 256 1\njob bfs g\n";
+        for directive in [
+            "threads 0",
+            "threads x",
+            "threads",
+            "nodes 0",
+            "nodes",
+            "disk floppy",
+            "disk",
+            "owner random",
+            "owner",
+            "prefetch maybe",
+            "prefetch",
+            "trace",
+            "mode",
+        ] {
+            let text = format!("{directive}\n{JOB}");
+            let err = parse_job_file(&text).err();
+            assert!(
+                err.as_deref().is_some_and(|e| e.starts_with("line 1:")),
+                "'{directive}' must fail on line 1, got {err:?}"
+            );
+        }
+        assert!(parse_job_file(&format!("threads 2\n{JOB}")).is_ok());
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|&a| a.to_owned()).collect()
+    }
 }

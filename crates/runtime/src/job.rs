@@ -15,12 +15,13 @@ use graphr_core::trace::{json_escape, TraceSink};
 use graphr_core::{GraphRConfig, Metrics};
 use graphr_graph::GraphHandle;
 
-/// Serial or parallel scan execution for a job.
+/// The worker count a job's scans use. Both modes run the same
+/// executor with bit-identical results; only the worker count differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// The reference single-thread executor.
+    /// One worker: every scan runs on the calling thread.
     Serial,
-    /// The strip-sharded worker-pool executor (the default).
+    /// The session's scan-thread budget (the default).
     #[default]
     Parallel,
 }

@@ -5,23 +5,25 @@
 //! `sim::run_*` call preprocesses its graph from scratch. This crate turns
 //! that stack into a service:
 //!
-//! * [`parallel::ParallelExecutor`] — a drop-in
-//!   [`ScanEngine`](graphr_core::exec::ScanEngine) that shards every
+//! * Parallel scans — every job runs on the one single-node
+//!   [`StreamingExecutor`], whose worker count shards each
 //!   [`ScanPlan`](graphr_core::exec::ScanPlan) — dense or frontier-pruned —
-//!   across its planned destination strips on a scoped worker pool,
-//!   mirroring the paper's inter-subgraph GE parallelism (§3.3, §5.2) on
-//!   the host. Per-worker scanner state plus a deterministic plan-order
-//!   metrics merge make its results and time/energy reports
-//!   **bit-identical** to the serial executor consuming the same plan.
+//!   across its planned destination strips on a scoped worker
+//!   [`pool`], mirroring the paper's inter-subgraph GE parallelism
+//!   (§3.3, §5.2) on the host. Per-worker scanner state plus a
+//!   deterministic plan-order metrics merge make results and time/energy
+//!   reports **bit-identical** for every worker count.
+//!   [`ParallelExecutor`] only names constructors for a multi-worker
+//!   executor.
 //! * [`session::Session`] — a long-lived, thread-safe query session: a
 //!   preprocessed-graph cache keyed by *(graph id, tiling geometry,
 //!   streaming order)* with hit/miss counters, so repeated queries skip
 //!   the §3.4 tiler and reuse the cached plan skeleton plus the
 //!   incremental planner's graph-derived index (each engine gets a
 //!   fresh `Planner` stamped from it — frontier-delta re-planning
-//!   without re-walking the span table); serial/parallel
-//!   engine selection per job; batched multi-job submission; an
-//!   optional out-of-core disk configuration
+//!   without re-walking the span table); a per-job worker count
+//!   ([`ExecMode`]: one worker, or the session's thread budget); batched
+//!   multi-job submission; an optional out-of-core disk configuration
 //!   ([`Session::with_disk`](session::Session::with_disk) /
 //!   [`Job::with_disk`](job::Job::with_disk)) under which every scan's
 //!   plan also prices its disk loading
@@ -82,14 +84,48 @@
 #![warn(missing_docs)]
 
 pub mod job;
-pub mod parallel;
-pub mod pool;
 pub mod serve;
 pub mod session;
 
+pub use graphr_core::exec::pool;
 pub use job::{
     ClusterChoice, DiskChoice, ExecMode, Job, JobOutput, JobReport, JobSpec, TraceChoice,
 };
-pub use parallel::ParallelExecutor;
 pub use serve::{AdmissionError, QueryResult, ServeConfig, ServeLatency, ServeStats, Server};
 pub use session::{CacheStats, GraphVariant, RuntimeError, Session};
+
+use graphr_core::exec::{Planner, StreamingExecutor};
+use graphr_core::{GraphRConfig, TiledGraph};
+use graphr_units::FixedSpec;
+
+/// Constructors for a multi-worker [`StreamingExecutor`]. There is one
+/// single-node executor; these only set its worker count, so every
+/// constructor returns a `StreamingExecutor`.
+#[derive(Debug)]
+pub enum ParallelExecutor {}
+
+impl ParallelExecutor {
+    /// An executor with `threads` workers (clamped to at least 1).
+    #[must_use]
+    pub fn with_threads<'a>(
+        tiled: &'a TiledGraph,
+        config: &'a GraphRConfig,
+        spec: FixedSpec,
+        threads: usize,
+    ) -> StreamingExecutor<'a> {
+        StreamingExecutor::new(tiled, config, spec).with_threads(threads)
+    }
+
+    /// An executor with `threads` workers around a prepared incremental
+    /// [`Planner`] (built from this `tiled`).
+    #[must_use]
+    pub fn with_planner<'a>(
+        tiled: &'a TiledGraph,
+        config: &'a GraphRConfig,
+        spec: FixedSpec,
+        planner: Planner,
+        threads: usize,
+    ) -> StreamingExecutor<'a> {
+        StreamingExecutor::with_planner(tiled, config, spec, planner).with_threads(threads)
+    }
+}

@@ -39,7 +39,6 @@ use graphr_units::FixedSpec;
 use parking_lot::Mutex;
 
 use crate::job::{ExecMode, Job, JobOutput, JobReport, JobSpec};
-use crate::parallel::ParallelExecutor;
 use crate::pool;
 
 /// Errors from the runtime service layer.
@@ -368,21 +367,14 @@ impl Session {
         spec: FixedSpec,
         scan_threads: usize,
     ) -> Box<dyn ScanEngine + 'a> {
-        match mode {
-            ExecMode::Serial => Box::new(StreamingExecutor::with_planner(
-                &tiling.tiled,
-                config,
-                spec,
-                tiling.planner(),
-            )),
-            ExecMode::Parallel => Box::new(ParallelExecutor::with_planner(
-                &tiling.tiled,
-                config,
-                spec,
-                tiling.planner(),
-                scan_threads,
-            )),
-        }
+        let threads = match mode {
+            ExecMode::Serial => 1,
+            ExecMode::Parallel => scan_threads,
+        };
+        Box::new(
+            StreamingExecutor::with_planner(&tiling.tiled, config, spec, tiling.planner())
+                .with_threads(threads),
+        )
     }
 
     // One parameter per orthogonal per-job setting; bundling them would
@@ -401,7 +393,7 @@ impl Session {
     ) -> Box<dyn ScanEngine + 'a> {
         let mut engine: Box<dyn ScanEngine + 'a> = match cluster {
             // Cluster nodes execute one after another on the host, so each
-            // node's parallel engine may use the full scan budget.
+            // node's engine may use the full scan budget.
             Some(c) => Box::new(ClusterExecutor::with_engines(
                 &tiling.tiled,
                 config,
