@@ -5,8 +5,10 @@
 //! and the RegI/RegO register files. The crossbar datapath lives in
 //! `graphr-reram`; this module adds the pieces around it:
 //!
-//! * [`tile::TileCompute`] — the functional model of one logical tile in
-//!   either fidelity (full analog emulation or fast fixed-point),
+//! * [`tile::cell_runs`] and [`tile::MergeRule`] — the one cell-merge
+//!   rule for parallel edges, and [`tile::TileCompute`], the analog
+//!   staging tile (full crossbar emulation; the fast fidelity scans
+//!   merged cells directly),
 //! * [`salu::SAlu`] — the configurable reduction unit (`add` for PageRank,
 //!   `min` for BFS/SSSP; Figure 15),
 //! * [`registers::RegFile`] — RegI/RegO with access counting, whose sizes
@@ -18,4 +20,4 @@ pub mod tile;
 
 pub use registers::RegFile;
 pub use salu::{ReduceOp, SAlu};
-pub use tile::{MergeRule, TileCompute};
+pub use tile::{cell_runs, MergeRule, TileCompute};

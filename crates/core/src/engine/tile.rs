@@ -1,19 +1,29 @@
-//! Functional model of one logical crossbar tile, in both fidelities.
+//! Crossbar cells and the analog staging tile.
 //!
-//! [`TileCompute`] is a scratch tile the executor reuses for every tile of
-//! every subgraph (hardware parallelism affects *timing*, which the
-//! executor accounts separately; functionally the tiles are independent).
-//! In [`Fidelity::Analog`] values flow through the full `graphr-reram`
-//! datapath (per-slice bitline sums, ADC, shift-and-add, programming
-//! noise); in [`Fidelity::Fast`] the same fixed-point arithmetic happens
-//! directly. With ideal ADC and ideal programming the two are bit-identical
-//! — a property the test suite pins down.
+//! The tiler stores a tile's entries column-major — `(col, row)`
+//! ascending — with the parallel edges of one cell adjacent and in input
+//! order. [`cell_runs`] splits a tile into those runs and
+//! [`MergeRule::merge_run`] folds each run into the one value its cell
+//! stores: this pair is the single cell-merge implementation, shared by
+//! the fast-fidelity scan kernels (which consume the merged cells
+//! directly, see [`crate::exec::strip`]) and by [`TileCompute`].
+//!
+//! [`TileCompute`] stages a tile for [`Fidelity::Analog`]: values flow
+//! through the full `graphr-reram` datapath (per-slice bitline sums, ADC,
+//! shift-and-add, programming noise). The executor reuses one per scanner
+//! for every tile of every subgraph (hardware parallelism affects
+//! *timing*, which the executor accounts separately; functionally the
+//! tiles are independent). With ideal ADC and ideal programming the
+//! analog datapath is bit-identical to the fast kernels' direct
+//! fixed-point arithmetic — a property the test suite pins down.
+//!
+//! [`Fidelity::Analog`]: crate::config::Fidelity::Analog
 
 use graphr_reram::{ArrayConfig, MatrixArray};
 use graphr_units::FixedSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::config::{Fidelity, GraphRConfig};
+use crate::config::GraphRConfig;
 use crate::preprocess::tiler::TileEntry;
 
 /// How parallel edges that land on the same crossbar cell combine. A cell
@@ -39,33 +49,44 @@ impl MergeRule {
             MergeRule::Min => existing.min(incoming),
         }
     }
+
+    /// Folds the values of one cell's parallel edges, in entry order, into
+    /// the raw (pre-quantisation) value the cell stores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is empty.
+    #[must_use]
+    pub fn merge_run(self, values: impl IntoIterator<Item = f64>) -> f64 {
+        let mut values = values.into_iter();
+        let first = values.next().expect("a cell run holds at least one edge");
+        values.fold(first, |cell, v| self.combine(cell, v))
+    }
 }
 
-/// A reusable logical-tile compute unit.
+/// Splits a tile's entries into runs that share one cell, in stored
+/// order. Relies on the tiler's entry order, which keeps parallel edges
+/// adjacent; each run is one crossbar cell.
+pub fn cell_runs(entries: &[TileEntry]) -> impl Iterator<Item = &[TileEntry]> {
+    entries.chunk_by(|a, b| a.row == b.row && a.col == b.col)
+}
+
+/// A reusable analog staging tile.
 #[derive(Debug, Clone)]
 pub struct TileCompute {
-    fidelity: Fidelity,
     size: usize,
     spec: FixedSpec,
-    /// Analog path: the ganged crossbar model.
+    /// The ganged crossbar model.
     array: MatrixArray,
-    /// Dense cell values, row-major (raw pre-quantisation in analog mode,
-    /// quantised in fast mode after `load`).
+    /// Raw (pre-quantisation) cell values of the loaded tile, row-major.
     dense: Vec<f64>,
-    /// Entries of the currently loaded tile grouped per row (fast add-op).
-    rows: Vec<Vec<(u8, f64)>>,
-    /// Cells touched by the current load (merge bookkeeping).
-    touched: Vec<usize>,
-    /// Last-touched epoch per cell.
-    stamp: Vec<u32>,
-    /// Current load epoch.
-    epoch: u32,
 }
 
 impl TileCompute {
-    /// Creates a scratch tile for `config`'s geometry and fidelity, using
-    /// `spec` for value quantisation (algorithms choose their own format —
-    /// Q1.15 for PageRank probabilities, Q16.0 for BFS/SSSP distances).
+    /// Creates a staging tile for `config`'s geometry and analog
+    /// parameters, using `spec` for value quantisation (algorithms choose
+    /// their own format — Q1.15 for PageRank probabilities, Q16.0 for
+    /// BFS/SSSP distances).
     #[must_use]
     pub fn new(config: &GraphRConfig, spec: FixedSpec) -> Self {
         let size = config.crossbar_size;
@@ -79,15 +100,10 @@ impl TileCompute {
             noise: config.noise,
         };
         TileCompute {
-            fidelity: config.fidelity,
             size,
             spec,
             array: MatrixArray::new(array_config),
             dense: vec![0.0; size * size],
-            rows: vec![Vec::new(); size],
-            touched: Vec::with_capacity(size * size),
-            stamp: vec![0; size * size],
-            epoch: 1,
         }
     }
 
@@ -97,13 +113,14 @@ impl TileCompute {
         self.spec
     }
 
-    /// Loads a tile: `entries` give positions, `values` the real-valued
-    /// matrix entries (same order). Unmentioned cells are zero. Parallel
-    /// edges landing on the same cell merge under `merge` *before*
-    /// quantisation — a crossbar cell holds exactly one conductance, so the
-    /// preprocessing combines multigraph edges ([`MergeRule::Sum`] is the
-    /// adjacency-matrix semantic for MAC algorithms; [`MergeRule::Min`]
-    /// keeps the shortest parallel edge for add-op algorithms).
+    /// Loads a tile: `entries` give positions in the tiler's order,
+    /// `values` the real-valued matrix entries (same order). Unmentioned
+    /// cells are zero. Parallel edges landing on the same cell merge under
+    /// `merge` *before* quantisation — a crossbar cell holds exactly one
+    /// conductance, so the preprocessing combines multigraph edges
+    /// ([`MergeRule::Sum`] is the adjacency-matrix semantic for MAC
+    /// algorithms; [`MergeRule::Min`] keeps the shortest parallel edge for
+    /// add-op algorithms).
     ///
     /// # Panics
     ///
@@ -111,46 +128,17 @@ impl TileCompute {
     /// coordinates, or (in unsigned mode) on negative values.
     pub fn load(&mut self, entries: &[TileEntry], values: &[f64], merge: MergeRule) {
         assert_eq!(entries.len(), values.len(), "one value required per entry");
-        // Merge parallel edges into the raw dense buffer.
         self.dense.fill(0.0);
-        self.touched.clear();
-        for (e, &v) in entries.iter().zip(values) {
-            let idx = e.row as usize * self.size + e.col as usize;
-            if self.stamp[idx] == self.epoch {
-                self.dense[idx] = merge.combine(self.dense[idx], v);
-            } else {
-                self.stamp[idx] = self.epoch;
-                self.dense[idx] = v;
-                self.touched.push(idx);
-            }
+        let mut offset = 0;
+        for run in cell_runs(entries) {
+            let cell = &run[0];
+            let raw = merge.merge_run(values[offset..offset + run.len()].iter().copied());
+            self.dense[cell.row as usize * self.size + cell.col as usize] = raw;
+            offset += run.len();
         }
-        if self.epoch == u32::MAX {
-            // Stamp wrap-around: reset to a clean state.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-        match self.fidelity {
-            Fidelity::Analog => {
-                self.array
-                    .program_dense(&self.dense)
-                    .expect("tile entries fit the array");
-            }
-            Fidelity::Fast => {
-                for row in &mut self.rows {
-                    row.clear();
-                }
-                for &idx in &self.touched {
-                    let q = self.spec.quantize_value(self.dense[idx]);
-                    self.dense[idx] = q;
-                    self.rows[idx / self.size].push(((idx % self.size) as u8, q));
-                }
-                for row in &mut self.rows {
-                    row.sort_unstable_by_key(|&(c, _)| c);
-                }
-            }
-        }
+        self.array
+            .program_dense(&self.dense)
+            .expect("tile entries fit the array");
     }
 
     /// Parallel-MAC evaluation: `y[col] = Σ_row stored[row][col] · x[row]`.
@@ -161,21 +149,7 @@ impl TileCompute {
     #[must_use]
     pub fn mac(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.size, "input must have C entries");
-        match self.fidelity {
-            Fidelity::Analog => self.array.mvm(x),
-            Fidelity::Fast => {
-                let mut y = vec![0.0; self.size];
-                for (r, &xv) in x.iter().enumerate() {
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    for &(col, q) in &self.rows[r] {
-                        y[col as usize] += q * xv;
-                    }
-                }
-                y
-            }
-        }
+        self.array.mvm(x)
     }
 
     /// Row-select read (the add-op primitive, §4.2): the stored values of
@@ -187,40 +161,27 @@ impl TileCompute {
     #[must_use]
     pub fn row(&self, row: usize) -> Vec<f64> {
         assert!(row < self.size, "row {row} out of range");
-        match self.fidelity {
-            Fidelity::Analog => {
-                let mut onehot = vec![0.0; self.size];
-                onehot[row] = 1.0;
-                self.array.mvm(&onehot)
-            }
-            Fidelity::Fast => self.dense[row * self.size..(row + 1) * self.size].to_vec(),
-        }
+        let mut onehot = vec![0.0; self.size];
+        onehot[row] = 1.0;
+        self.array.mvm(&onehot)
     }
 
-    /// Entries stored on `row` as `(col, value)` pairs — the fast path for
-    /// sparse row iteration. Available in both fidelities (in analog mode
-    /// derived from the row read, skipping exact zeros).
+    /// Entries read from `row` as `(col, value)` pairs, skipping exact
+    /// zeros.
     #[must_use]
     pub fn row_entries(&self, row: usize) -> Vec<(usize, f64)> {
-        match self.fidelity {
-            Fidelity::Analog => self
-                .row(row)
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, v)| v != 0.0)
-                .collect(),
-            Fidelity::Fast => self.rows[row]
-                .iter()
-                .map(|&(c, v)| (c as usize, v))
-                .collect(),
-        }
+        self.row(row)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, v)| v != 0.0)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GraphRConfig;
+    use crate::config::{Fidelity, GraphRConfig};
 
     fn entries(list: &[(u8, u8, f64)]) -> (Vec<TileEntry>, Vec<f64>) {
         let e = list
@@ -235,68 +196,88 @@ mod tests {
         (e, v)
     }
 
-    fn config(fidelity: Fidelity) -> GraphRConfig {
-        GraphRConfig::builder().fidelity(fidelity).build().unwrap()
+    fn analog(spec: FixedSpec) -> TileCompute {
+        let config = GraphRConfig::builder()
+            .fidelity(Fidelity::Analog)
+            .build()
+            .unwrap();
+        TileCompute::new(&config, spec)
     }
 
     #[test]
-    fn fast_and_analog_agree_exactly_when_ideal() {
+    fn cell_runs_group_parallel_edges_and_merge_in_entry_order() {
+        // Tiler order: (col, row) ascending, parallel edges adjacent.
+        let (e, v) = entries(&[
+            (1, 0, 2.0),
+            (1, 0, 3.0),
+            (0, 2, 5.0),
+            (3, 2, 1.0),
+            (3, 2, 4.0),
+        ]);
+        let runs: Vec<usize> = cell_runs(&e).map(<[TileEntry]>::len).collect();
+        assert_eq!(runs, vec![2, 1, 2]);
+        let mut offset = 0;
+        let mut merged = Vec::new();
+        for run in cell_runs(&e) {
+            let values = &v[offset..offset + run.len()];
+            merged.push((
+                MergeRule::Sum.merge_run(values.iter().copied()),
+                MergeRule::Min.merge_run(values.iter().copied()),
+            ));
+            offset += run.len();
+        }
+        assert_eq!(merged, vec![(5.0, 2.0), (5.0, 5.0), (5.0, 1.0)]);
+    }
+
+    #[test]
+    fn analog_matches_quantised_fixed_point_when_ideal() {
         let (e, v) = entries(&[
             (0, 0, 1.5),
-            (0, 7, 0.25),
-            (3, 3, 2.0),
             (7, 0, 0.125),
+            (3, 3, 2.0),
+            (0, 7, 0.25),
             (7, 7, 3.75),
         ]);
         let spec = FixedSpec::paper_default();
-        let mut fast = TileCompute::new(&config(Fidelity::Fast), spec);
-        let mut analog = TileCompute::new(&config(Fidelity::Analog), spec);
-        fast.load(&e, &v, MergeRule::Sum);
-        analog.load(&e, &v, MergeRule::Sum);
+        let mut tile = analog(spec);
+        tile.load(&e, &v, MergeRule::Sum);
         let x: Vec<f64> = (0..8).map(|i| 0.5 + i as f64 * 0.25).collect();
-        let yf = fast.mac(&x);
-        let ya = analog.mac(&x);
-        for (a, b) in yf.iter().zip(&ya) {
-            assert!((a - b).abs() < 1e-9, "fast {a} vs analog {b}");
+        let mut expected = vec![0.0; 8];
+        for (cell, &raw) in e.iter().zip(&v) {
+            expected[cell.col as usize] += spec.quantize_value(raw) * x[cell.row as usize];
         }
-        for r in 0..8 {
-            let rf = fast.row(r);
-            let ra = analog.row(r);
-            for (a, b) in rf.iter().zip(&ra) {
-                assert!((a - b).abs() < 1e-9);
-            }
+        for (a, b) in tile.mac(&x).iter().zip(&expected) {
+            assert!((a - b).abs() < 1e-9, "analog {a} vs fixed point {b}");
+        }
+        for (cell, &raw) in e.iter().zip(&v) {
+            let read = tile.row(cell.row as usize)[cell.col as usize];
+            assert!((read - spec.quantize_value(raw)).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn mac_computes_quantised_product() {
-        let (e, v) = entries(&[(1, 2, 0.5), (4, 2, 0.25)]);
-        let spec = FixedSpec::paper_default();
-        let mut tile = TileCompute::new(&config(Fidelity::Fast), spec);
+    fn parallel_edges_merge_before_programming() {
+        let (e, v) = entries(&[(2, 1, 3.0), (2, 1, 4.0)]);
+        let spec = FixedSpec::new(16, 0).unwrap();
+        let mut tile = analog(spec);
         tile.load(&e, &v, MergeRule::Sum);
-        let mut x = vec![0.0; 8];
-        x[1] = 2.0;
-        x[4] = 4.0;
-        let y = tile.mac(&x);
-        assert_eq!(y[2], 0.5 * 2.0 + 0.25 * 4.0);
-        assert!(y.iter().enumerate().all(|(i, &v)| i == 2 || v == 0.0));
+        assert_eq!(tile.row_entries(2), vec![(1, 7.0)]);
+        tile.load(&e, &v, MergeRule::Min);
+        assert_eq!(tile.row_entries(2), vec![(1, 3.0)]);
     }
 
     #[test]
     fn row_entries_report_sparse_content() {
         let (e, v) = entries(&[(2, 1, 3.0), (2, 6, 5.0)]);
-        for fidelity in [Fidelity::Fast, Fidelity::Analog] {
-            let mut tile = TileCompute::new(&config(fidelity), FixedSpec::new(16, 0).unwrap());
-            tile.load(&e, &v, MergeRule::Sum);
-            assert_eq!(tile.row_entries(2), vec![(1, 3.0), (6, 5.0)]);
-            assert!(tile.row_entries(0).is_empty());
-        }
+        let mut tile = analog(FixedSpec::new(16, 0).unwrap());
+        tile.load(&e, &v, MergeRule::Sum);
+        assert_eq!(tile.row_entries(2), vec![(1, 3.0), (6, 5.0)]);
+        assert!(tile.row_entries(0).is_empty());
     }
 
     #[test]
     fn reload_clears_previous_tile() {
-        let spec = FixedSpec::paper_default();
-        let mut tile = TileCompute::new(&config(Fidelity::Fast), spec);
+        let mut tile = analog(FixedSpec::paper_default());
         let (e1, v1) = entries(&[(0, 0, 1.0)]);
         tile.load(&e1, &v1, MergeRule::Sum);
         let (e2, v2) = entries(&[(5, 5, 2.0)]);
@@ -307,21 +288,17 @@ mod tests {
 
     #[test]
     fn integer_spec_keeps_distances_exact() {
-        let spec = FixedSpec::new(16, 0).unwrap();
         let (e, v) = entries(&[(0, 0, 1234.0), (1, 1, 64.0)]);
-        for fidelity in [Fidelity::Fast, Fidelity::Analog] {
-            let mut tile = TileCompute::new(&config(fidelity), spec);
-            tile.load(&e, &v, MergeRule::Sum);
-            assert_eq!(tile.row(0)[0], 1234.0);
-            assert_eq!(tile.row(1)[1], 64.0);
-        }
+        let mut tile = analog(FixedSpec::new(16, 0).unwrap());
+        tile.load(&e, &v, MergeRule::Sum);
+        assert_eq!(tile.row(0)[0], 1234.0);
+        assert_eq!(tile.row(1)[1], 64.0);
     }
 
     #[test]
     #[should_panic(expected = "one value required")]
     fn mismatched_values_panic() {
-        let spec = FixedSpec::paper_default();
-        let mut tile = TileCompute::new(&config(Fidelity::Fast), spec);
+        let mut tile = analog(FixedSpec::paper_default());
         let (e, _) = entries(&[(0, 0, 1.0)]);
         tile.load(&e, &[], MergeRule::Sum);
     }

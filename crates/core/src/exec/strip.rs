@@ -22,13 +22,16 @@
 //!
 //! [`StreamingExecutor`]: crate::exec::streaming::StreamingExecutor
 
-use crate::config::{GraphRConfig, StreamingOrder};
+use graphr_units::FixedSpec;
+
+use crate::config::{Fidelity, GraphRConfig, StreamingOrder};
 use crate::engine::salu::{ReduceOp, SAlu};
-use crate::engine::tile::{MergeRule, TileCompute};
+use crate::engine::tile::{cell_runs, MergeRule, TileCompute};
+use crate::exec::lanes::LaneFrontier;
 use crate::exec::plan::PlanUnit;
 use crate::exec::streaming::EdgeValueFn;
 use crate::metrics::Metrics;
-use crate::preprocess::tiler::TiledGraph;
+use crate::preprocess::tiler::{Tile, TileEntry, TiledGraph};
 
 /// Bytes per COO edge record streamed from memory ReRAM — the binary
 /// record format is owned by the graph crate.
@@ -92,44 +95,145 @@ pub fn mac_rego_capacity(config: &GraphRConfig, tiled: &TiledGraph) -> u64 {
     }
 }
 
+/// One crossbar cell after its parallel edges merged: tile-local
+/// position and quantised value.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    row: u8,
+    col: u8,
+    value: f64,
+}
+
+/// Analog-fidelity staging: the crossbar model plus its per-tile value
+/// and input buffers.
+struct AnalogStage {
+    tile: TileCompute,
+    /// Per-tile programmed values, one per entry.
+    values: Vec<f64>,
+    /// Chunk-local input slice.
+    input: Vec<f64>,
+}
+
+impl AnalogStage {
+    /// Programs `tile` with `value` of every entry, merged under `merge`.
+    fn load(&mut self, tile: &Tile, value: impl Fn(&TileEntry) -> f64, merge: MergeRule) {
+        self.values.clear();
+        self.values.extend(tile.entries.iter().map(value));
+        self.tile.load(&tile.entries, &self.values, merge);
+    }
+}
+
+/// What driving one active row of a programmed tile needs, shared by
+/// every row of an add-op scan unit.
+struct RowDrive<'r> {
+    addends: &'r [&'r [f64]],
+    active: &'r LaneFrontier,
+    combine: &'r (dyn Fn(f64, f64) -> f64 + Sync),
+    spec: FixedSpec,
+    /// Real vertex count; padding destinations are never written.
+    n: usize,
+    /// First destination of the unit (offset of `frontiers` and `updated`).
+    dst_start: usize,
+}
+
+impl RowDrive<'_> {
+    /// Drives one tile row — `row` holds its stored cells, ascending by
+    /// column — once per lane holding its source active: relaxes every
+    /// cell into the lane's frontier through the sALU and records which
+    /// destinations improved. Returns the `(row, lane)` drives and the
+    /// cells they read.
+    #[allow(clippy::too_many_arguments)]
+    fn drive(
+        &self,
+        src0: usize,
+        dst0: usize,
+        row: &[Cell],
+        frontiers: &mut [&mut [f64]],
+        updated: &mut [u64],
+        fresh: &mut [u64],
+        salu: &mut SAlu,
+    ) -> (u64, u64) {
+        let src = src0 + row[0].row as usize;
+        let mut lane_bits = self.active.vertex_lanes(src);
+        let mut drives = 0u64;
+        while lane_bits != 0 {
+            let q = lane_bits.trailing_zeros() as usize;
+            lane_bits &= lane_bits - 1;
+            drives += 1;
+            let du = self.addends[q][src];
+            let frontier = &mut frontiers[q][..];
+            let bit = 1u64 << q;
+            for cell in row {
+                let dst = dst0 + cell.col as usize;
+                if dst >= self.n {
+                    continue;
+                }
+                // The relaxation (e.g. dist(u) + w(u, v)), saturating in
+                // the fixed-point datapath, then min via the sALU.
+                let candidate = self.spec.quantize_value((self.combine)(du, cell.value));
+                if salu.reduce_one(&mut frontier[dst - self.dst_start], candidate) {
+                    // Branch-free: whether the bit is already set is
+                    // unpredictable, and branching on it made solo
+                    // traversal scans measurably slower.
+                    let word = &mut updated[dst - self.dst_start];
+                    fresh[q] += u64::from(*word & bit == 0);
+                    *word |= bit;
+                }
+            }
+        }
+        (drives, drives * row.len() as u64)
+    }
+}
+
 /// Executes scan units with private engine state.
 ///
-/// One scanner per worker thread: [`TileCompute`] (the scratch crossbar
-/// tile), the [`SAlu`], and the value/input staging buffers are all owned,
-/// so scanners on different units never share mutable state.
+/// One scanner per worker thread: the [`SAlu`]s, the cell and row
+/// scratch, and (analog fidelity only) the [`TileCompute`] staging tile
+/// are all owned, so scanners on different units never share mutable
+/// state. In [`Fidelity::Fast`] a tile is scanned straight from its
+/// stored entries — each cell's parallel edges merged and quantised once
+/// into reused scratch — with no dense staging and no per-tile heap
+/// allocation.
 pub struct StripScanner<'a> {
     tiled: &'a TiledGraph,
     config: &'a GraphRConfig,
-    tile: TileCompute,
-    /// Scratch: per-tile programmed values, reused across tiles.
-    value_buf: Vec<f64>,
-    /// Scratch: chunk-local input slice.
-    input_buf: Vec<f64>,
+    spec: FixedSpec,
+    /// Scratch: the current tile's merged cells (fast fidelity).
+    cells: Vec<Cell>,
+    /// Scratch: the current subgraph's union-active rows (add-op).
+    active_rows: Vec<usize>,
+    /// Scratch: the current strip's per-tile serial row counts (add-op).
+    tile_rows: Vec<u64>,
+    /// The crossbar model, in analog fidelity only.
+    analog: Option<AnalogStage>,
 }
 
 impl<'a> StripScanner<'a> {
     /// Creates a scanner for `tiled` under `config`, quantising values to
     /// `spec`.
     #[must_use]
-    pub fn new(
-        tiled: &'a TiledGraph,
-        config: &'a GraphRConfig,
-        spec: graphr_units::FixedSpec,
-    ) -> Self {
+    pub fn new(tiled: &'a TiledGraph, config: &'a GraphRConfig, spec: FixedSpec) -> Self {
         let c = config.crossbar_size;
+        let analog = (config.fidelity == Fidelity::Analog).then(|| AnalogStage {
+            tile: TileCompute::new(config, spec),
+            values: Vec::with_capacity(c * c),
+            input: vec![0.0; c],
+        });
         StripScanner {
             tiled,
             config,
-            tile: TileCompute::new(config, spec),
-            value_buf: Vec::with_capacity(c * c),
-            input_buf: vec![0.0; c],
+            spec,
+            cells: Vec::with_capacity(c * c),
+            active_rows: Vec::with_capacity(c),
+            tile_rows: Vec::new(),
+            analog,
         }
     }
 
     /// The fixed-point format in use.
     #[must_use]
-    pub fn spec(&self) -> graphr_units::FixedSpec {
-        self.tile.spec()
+    pub fn spec(&self) -> FixedSpec {
+        self.spec
     }
 
     /// Total crossbar tile slots across the node.
@@ -295,29 +399,54 @@ impl<'a> StripScanner<'a> {
         let edges = u64::from(sg.edges);
 
         // --- functional compute ---
+        let spec = self.spec;
         for tile in &sg.tiles {
-            self.value_buf.clear();
-            for e in &tile.entries {
-                let src = (src0 + e.row as usize) as u32;
-                let dst = tiled.tile_dst(block, strip, tile, e.col) as u32;
-                self.value_buf.push(value(e.weight, src, dst));
-            }
-            self.tile
-                .load(&tile.entries, &self.value_buf, MergeRule::Sum);
-            for (ki, x) in inputs.iter().enumerate() {
-                for r in 0..c {
-                    let src = src0 + r;
-                    self.input_buf[r] = if src < n { x[src] } else { 0.0 };
-                }
-                let y = self.tile.mac(&self.input_buf);
-                for (col, &yv) in y.iter().enumerate() {
-                    if yv == 0.0 {
-                        continue;
+            let dst0 = tiled.tile_dst(block, strip, tile, 0);
+            let tile_value = |e: &TileEntry| {
+                value(
+                    e.weight,
+                    (src0 + e.row as usize) as u32,
+                    (dst0 + e.col as usize) as u32,
+                )
+            };
+            if let Some(stage) = &mut self.analog {
+                stage.load(tile, tile_value, MergeRule::Sum);
+                for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
+                    for (r, slot) in stage.input.iter_mut().enumerate() {
+                        let src = src0 + r;
+                        *slot = if src < n { x[src] } else { 0.0 };
                     }
-                    let dst = tiled.tile_dst(block, strip, tile, col as u8);
-                    if dst < n {
-                        let slot = &mut outputs[ki][dst - unit.dst_start];
-                        salu.reduce_one(slot, yv);
+                    let y = stage.tile.mac(&stage.input);
+                    for (col, &yv) in y.iter().enumerate() {
+                        let dst = dst0 + col;
+                        if yv != 0.0 && dst < n {
+                            salu.reduce_one(&mut out[dst - unit.dst_start], yv);
+                        }
+                    }
+                }
+                continue;
+            }
+            // Fast fidelity: merge and quantise each cell once, then per
+            // input accumulate every column over its rows in ascending
+            // order, skipping zero inputs — the crossbar's bitline sum.
+            self.cells.clear();
+            self.cells.extend(cell_runs(&tile.entries).map(|run| Cell {
+                row: run[0].row,
+                col: run[0].col,
+                value: spec.quantize_value(MergeRule::Sum.merge_run(run.iter().map(tile_value))),
+            }));
+            for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
+                for column in self.cells.chunk_by(|a, b| a.col == b.col) {
+                    let mut y = 0.0;
+                    for cell in column {
+                        let xv = x[src0 + cell.row as usize];
+                        if xv != 0.0 {
+                            y += cell.value * xv;
+                        }
+                    }
+                    let dst = dst0 + column[0].col as usize;
+                    if y != 0.0 && dst < n {
+                        salu.reduce_one(&mut out[dst - unit.dst_start], y);
                     }
                 }
             }
@@ -396,16 +525,27 @@ impl<'a> StripScanner<'a> {
         let c = self.config.crossbar_size;
         let unit = &punit.unit;
         let sidx = unit.strip as usize;
-        let spec = self.tile.spec();
         let mut salu = SAlu::new(ReduceOp::Min);
         let mut total_drives: u64 = 0;
         let union = active.union();
+        let drive = RowDrive {
+            addends,
+            active,
+            combine,
+            spec: self.spec,
+            n,
+            dst_start: unit.dst_start,
+        };
+        // Taken out of `self` for the scan so the subgraph kernel can
+        // borrow the scanner; put back below, keeping their capacity.
+        let mut active_rows = std::mem::take(&mut self.active_rows);
+        let mut tile_rows = std::mem::take(&mut self.tile_rows);
 
         for row in &punit.rows {
             let bidx = row.block as usize;
             let block = &tiled.blocks()[bidx];
             let strip = &block.strips[sidx];
-            let mut tile_rows: Vec<u64> = Vec::new();
+            tile_rows.clear();
             let mut strip_edges = 0u64;
             for &g in &row.subgraphs {
                 let sg = &strip.subgraphs[g as usize];
@@ -415,9 +555,8 @@ impl<'a> StripScanner<'a> {
                 let stream_bytes = u64::from(sg.edges) * BYTES_PER_EDGE;
                 metrics.energy.memory += self.config.cost.memory_stream_energy(stream_bytes);
                 metrics.events.bytes_streamed += stream_bytes;
-                let active_rows: Vec<usize> = (0..c)
-                    .filter(|&r| src0 + r < n && union.get(src0 + r))
-                    .collect();
+                active_rows.clear();
+                active_rows.extend((0..c).filter(|&r| src0 + r < n && union.get(src0 + r)));
                 if active_rows.is_empty() {
                     metrics.events.subgraphs_skipped_inactive += 1;
                     continue;
@@ -426,17 +565,13 @@ impl<'a> StripScanner<'a> {
                     bidx,
                     sidx,
                     g as usize,
-                    unit,
                     value,
-                    combine,
-                    addends,
-                    active,
+                    &drive,
                     &active_rows,
                     frontiers,
                     updated,
                     fresh,
                     &mut salu,
-                    spec,
                     &mut tile_rows,
                     metrics,
                 );
@@ -444,6 +579,8 @@ impl<'a> StripScanner<'a> {
             self.charge_addop_strip_time(&mut tile_rows, strip_edges, metrics);
             self.charge_strip_writeback(self.config.strip_width().min(n), metrics);
         }
+        self.active_rows = active_rows;
+        self.tile_rows = tile_rows;
         metrics.events.salu_ops += salu.ops_performed();
         total_drives
     }
@@ -519,22 +656,17 @@ impl<'a> StripScanner<'a> {
         bidx: usize,
         sidx: usize,
         g: usize,
-        unit: &StripUnit,
         value: &EdgeValueFn<'_>,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-        addends: &[&[f64]],
-        active: &crate::exec::lanes::LaneFrontier,
+        drive: &RowDrive<'_>,
         active_rows: &[usize],
         frontiers: &mut [&mut [f64]],
         updated: &mut [u64],
         fresh: &mut [u64],
         salu: &mut SAlu,
-        spec: graphr_units::FixedSpec,
         tile_rows: &mut Vec<u64>,
         metrics: &mut Metrics,
     ) -> u64 {
         let tiled = self.tiled;
-        let n = tiled.num_vertices();
         let c = self.config.crossbar_size;
         let block = &tiled.blocks()[bidx];
         let strip = &block.strips[sidx];
@@ -543,57 +675,70 @@ impl<'a> StripScanner<'a> {
         let arrays = self.config.arrays_per_tile() as u64;
         let tiles = sg.tiles.len() as u64;
         let edges = u64::from(sg.edges);
+        let union = drive.active.union();
         let mut active_cells: u64 = 0;
         let mut rows_driven: u64 = 0;
         let mut activations: u64 = 0;
         for &r in active_rows {
-            activations += u64::from(active.vertex_lanes(src0 + r).count_ones());
+            activations += u64::from(drive.active.vertex_lanes(src0 + r).count_ones());
         }
 
         // --- functional compute: per tile, program once, drive each
         // active row once per lane holding it ---
         for tile in &sg.tiles {
-            self.value_buf.clear();
-            for e in &tile.entries {
-                let src = (src0 + e.row as usize) as u32;
-                let dst = tiled.tile_dst(block, strip, tile, e.col) as u32;
-                self.value_buf.push(value(e.weight, src, dst));
-            }
-            self.tile
-                .load(&tile.entries, &self.value_buf, MergeRule::Min);
+            let dst0 = tiled.tile_dst(block, strip, tile, 0);
+            let tile_value = |e: &TileEntry| {
+                value(
+                    e.weight,
+                    (src0 + e.row as usize) as u32,
+                    (dst0 + e.col as usize) as u32,
+                )
+            };
             let mut this_tile_rows = 0u64;
-            for &r in active_rows {
-                let entries = self.tile.row_entries(r);
-                if entries.is_empty() {
-                    continue; // no edge from this source in this tile
-                }
-                let src = src0 + r;
-                let mut lane_bits = active.vertex_lanes(src);
-                while lane_bits != 0 {
-                    let q = lane_bits.trailing_zeros() as usize;
-                    lane_bits &= lane_bits - 1;
-                    this_tile_rows += 1;
-                    let du = addends[q][src];
-                    let frontier = &mut frontiers[q][..];
-                    let bit = 1u64 << q;
-                    for &(col, w) in &entries {
-                        active_cells += arrays;
-                        let dst = tiled.tile_dst(block, strip, tile, col as u8);
-                        if dst >= n {
-                            continue;
-                        }
-                        // The relaxation (e.g. dist(u) + w(u, v)), saturating
-                        // in the fixed-point datapath, then min via the sALU.
-                        let candidate = spec.quantize_value(combine(du, w));
-                        if salu.reduce_one(&mut frontier[dst - unit.dst_start], candidate) {
-                            // Branch-free: whether the bit is already set
-                            // is unpredictable, and branching on it made
-                            // solo traversal scans measurably slower.
-                            let word = &mut updated[dst - unit.dst_start];
-                            fresh[q] += u64::from(*word & bit == 0);
-                            *word |= bit;
-                        }
+            let mut driven = |row: &[Cell]| {
+                let (lane_rows, cells) =
+                    drive.drive(src0, dst0, row, frontiers, updated, fresh, salu);
+                this_tile_rows += lane_rows;
+                active_cells += cells * arrays;
+            };
+            if let Some(stage) = &mut self.analog {
+                stage.load(tile, tile_value, MergeRule::Min);
+                for &r in active_rows {
+                    self.cells.clear();
+                    self.cells
+                        .extend(
+                            stage
+                                .tile
+                                .row_entries(r)
+                                .into_iter()
+                                .map(|(col, value)| Cell {
+                                    row: r as u8,
+                                    col: col as u8,
+                                    value,
+                                }),
+                        );
+                    if !self.cells.is_empty() {
+                        driven(&self.cells);
                     }
+                }
+            } else {
+                // Fast fidelity: merge and quantise only the cells of
+                // union-active rows, then drive them row-ascending.
+                self.cells.clear();
+                self.cells.extend(
+                    cell_runs(&tile.entries)
+                        .filter(|run| union.get(src0 + run[0].row as usize))
+                        .map(|run| Cell {
+                            row: run[0].row,
+                            col: run[0].col,
+                            value: drive.spec.quantize_value(
+                                MergeRule::Min.merge_run(run.iter().map(tile_value)),
+                            ),
+                        }),
+                );
+                self.cells.sort_unstable_by_key(|cell| (cell.row, cell.col));
+                for row in self.cells.chunk_by(|a, b| a.row == b.row) {
+                    driven(row);
                 }
             }
             if this_tile_rows > 0 {

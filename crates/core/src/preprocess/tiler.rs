@@ -6,6 +6,11 @@
 //! chunks (subgraphs) within a strip — keeping only *nonempty* subgraphs,
 //! which is what lets GraphR skip work (§3.3) — and within a subgraph the
 //! edges grouped by the logical crossbar tile that will hold them.
+//!
+//! Entry-order guarantee: a subgraph's tiles are `(ge, slot)`-ascending,
+//! and a tile's entries `(col, row)`-ascending with the parallel edges of
+//! one cell adjacent and in input order. The scan kernels rely on it to
+//! merge each cell's edges in one pass with no staging.
 
 use graphr_graph::EdgeList;
 use serde::{Deserialize, Serialize};
@@ -31,7 +36,10 @@ pub struct Tile {
     pub ge: u32,
     /// Tile slot within the GE (`0..tiles_per_ge`).
     pub slot: u32,
-    /// The edges in the tile.
+    /// The edges in the tile, `(col, row)`-ascending (column-major, the
+    /// §3.4 order within a subgraph). Parallel edges on one cell are
+    /// adjacent and in input order; the scan kernels merge each such run
+    /// into the cell's single stored value.
     pub entries: Vec<TileEntry>,
 }
 
@@ -194,13 +202,16 @@ impl TiledGraph {
         let block_size = config.effective_block_vertices(graph.num_vertices());
         let order = TileOrder::new(graph.num_vertices().max(1), c, strip_width, block_size)?;
 
-        // Sort edge indices by global order ID — the §3.4 preprocessing.
-        let mut sorted: Vec<u32> = (0..graph.num_edges() as u32).collect();
+        // Sort edges by global order ID — the §3.4 preprocessing. Each ID
+        // is computed once; ties break on the input index, so parallel
+        // edges keep their input order (a stable sort by ID).
         let edges = graph.edges();
-        sorted.sort_by_key(|&idx| {
-            let e = &edges[idx as usize];
-            order.global_id(e.src as usize, e.dst as usize)
-        });
+        let mut sorted: Vec<(u64, u32)> = edges
+            .iter()
+            .enumerate()
+            .map(|(idx, e)| (order.global_id(e.src as usize, e.dst as usize), idx as u32))
+            .collect();
+        sorted.sort_unstable();
 
         let per_side = order.blocks_per_side();
         let strips_per_block = order.strips_per_block();
@@ -220,7 +231,7 @@ impl TiledGraph {
         let tiles_per_ge = config.tiles_per_ge();
         let mut nonempty_subgraphs = 0usize;
         let mut nonempty_tiles = 0usize;
-        for &idx in &sorted {
+        for &(_, idx) in &sorted {
             let e = &edges[idx as usize];
             let co = order.coords(e.src as usize, e.dst as usize);
             let block = &mut blocks[co.block as usize];
@@ -248,7 +259,10 @@ impl TiledGraph {
                 col: (co.sub_col as usize % c) as u8,
                 weight: e.weight,
             };
-            match sg.tiles.iter_mut().find(|t| t.ge == ge && t.slot == slot) {
+            // Edges arrive `sub_col`-ascending, so a subgraph's tiles are
+            // created in `(ge, slot)` order and the current tile is the
+            // last one.
+            match sg.tiles.last_mut().filter(|t| t.ge == ge && t.slot == slot) {
                 Some(t) => t.entries.push(entry),
                 None => {
                     sg.tiles.push(Tile {
@@ -257,14 +271,6 @@ impl TiledGraph {
                         entries: vec![entry],
                     });
                     nonempty_tiles += 1;
-                }
-            }
-        }
-        // Keep tiles ordered by (ge, slot) for deterministic execution.
-        for block in &mut blocks {
-            for strip in &mut block.strips {
-                for sg in &mut strip.subgraphs {
-                    sg.tiles.sort_by_key(|t| (t.ge, t.slot));
                 }
             }
         }

@@ -118,7 +118,13 @@ impl FixedSpec {
     /// The value of one least-significant step, `2^-frac_bits`.
     #[must_use]
     pub fn resolution(self) -> f64 {
-        (f64::from(self.frac_bits)).exp2().recip()
+        self.scale().recip()
+    }
+
+    /// `2^frac_bits`, exactly (`frac_bits ≤ 30`), without a libm call —
+    /// quantisation sits on every scan's per-edge path.
+    fn scale(self) -> f64 {
+        f64::from(1u32 << self.frac_bits)
     }
 
     /// Largest representable raw integer, `2^(total_bits-1) - 1`.
@@ -153,7 +159,7 @@ impl FixedSpec {
         if x.is_nan() {
             return 0;
         }
-        let scaled = (x * f64::from(self.frac_bits).exp2()).round();
+        let scaled = (x * self.scale()).round();
         if scaled >= f64::from(self.max_raw()) {
             self.max_raw()
         } else if scaled <= f64::from(self.min_raw()) {
@@ -341,6 +347,20 @@ impl Default for BitSlicer {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn scale_is_the_exact_power_of_two() {
+        for total in 1..=31u8 {
+            for frac in 0..total {
+                let spec = FixedSpec::new(total, frac).unwrap();
+                assert_eq!(spec.scale().to_bits(), f64::from(frac).exp2().to_bits());
+                assert_eq!(
+                    spec.resolution().to_bits(),
+                    f64::from(frac).exp2().recip().to_bits()
+                );
+            }
+        }
+    }
 
     #[test]
     fn rejects_bad_specs() {
