@@ -75,7 +75,6 @@ pub fn cell_runs(entries: &[TileEntry]) -> impl Iterator<Item = &[TileEntry]> {
 #[derive(Debug, Clone)]
 pub struct TileCompute {
     size: usize,
-    spec: FixedSpec,
     /// The ganged crossbar model.
     array: MatrixArray,
     /// Raw (pre-quantisation) cell values of the loaded tile, row-major.
@@ -101,16 +100,9 @@ impl TileCompute {
         };
         TileCompute {
             size,
-            spec,
             array: MatrixArray::new(array_config),
             dense: vec![0.0; size * size],
         }
-    }
-
-    /// The tile's fixed-point format.
-    #[must_use]
-    pub fn spec(&self) -> FixedSpec {
-        self.spec
     }
 
     /// Loads a tile: `entries` give positions in the tiler's order,

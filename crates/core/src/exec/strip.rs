@@ -8,7 +8,8 @@
 //! natural unit of host-side parallelism, mirroring the accelerator's own
 //! inter-subgraph GE parallelism. A [`StripUnit`] names one such unit;
 //! [`StripScanner`] executes one unit with private engine state
-//! ([`TileCompute`], [`SAlu`], scratch buffers), writing functional
+//! ([`SAlu`]s, cell and row scratch, and in the analog fidelity a
+//! [`TileCompute`] staging tile), writing functional
 //! results into the unit's own slice of each output vector (only
 //! destinations `dst_start .. dst_start + dst_len` are ever written) and
 //! charging time/energy into a unit-local [`Metrics`].
@@ -104,6 +105,22 @@ struct Cell {
     value: f64,
 }
 
+/// The programmed value of each entry of a tile whose rows start at
+/// source `src0` and columns at destination `dst0`.
+fn entry_value<'v>(
+    value: &'v EdgeValueFn<'_>,
+    src0: usize,
+    dst0: usize,
+) -> impl Fn(&TileEntry) -> f64 + Copy + 'v {
+    move |e| {
+        value(
+            e.weight,
+            (src0 + e.row as usize) as u32,
+            (dst0 + e.col as usize) as u32,
+        )
+    }
+}
+
 /// Analog-fidelity staging: the crossbar model plus its per-tile value
 /// and input buffers.
 struct AnalogStage {
@@ -187,13 +204,13 @@ impl RowDrive<'_> {
 
 /// Executes scan units with private engine state.
 ///
-/// One scanner per worker thread: the [`SAlu`]s, the cell and row
-/// scratch, and (analog fidelity only) the [`TileCompute`] staging tile
-/// are all owned, so scanners on different units never share mutable
-/// state. In [`Fidelity::Fast`] a tile is scanned straight from its
-/// stored entries — each cell's parallel edges merged and quantised once
-/// into reused scratch — with no dense staging and no per-tile heap
-/// allocation.
+/// One scanner per worker thread: the cell and row scratch and (analog
+/// fidelity only) the [`TileCompute`] staging tile are owned, and every
+/// unit scan reduces through its own [`SAlu`], so scanners on different
+/// units never share mutable state. In [`Fidelity::Fast`] a tile is
+/// scanned straight from its stored entries — each cell's parallel edges
+/// merged and quantised once into reused scratch — with no dense staging
+/// and no per-tile heap allocation.
 pub struct StripScanner<'a> {
     tiled: &'a TiledGraph,
     config: &'a GraphRConfig,
@@ -202,8 +219,6 @@ pub struct StripScanner<'a> {
     cells: Vec<Cell>,
     /// Scratch: the current subgraph's union-active rows (add-op).
     active_rows: Vec<usize>,
-    /// Scratch: the current strip's per-tile serial row counts (add-op).
-    tile_rows: Vec<u64>,
     /// The crossbar model, in analog fidelity only.
     analog: Option<AnalogStage>,
 }
@@ -225,7 +240,6 @@ impl<'a> StripScanner<'a> {
             spec,
             cells: Vec::with_capacity(c * c),
             active_rows: Vec::with_capacity(c),
-            tile_rows: Vec::new(),
             analog,
         }
     }
@@ -402,13 +416,7 @@ impl<'a> StripScanner<'a> {
         let spec = self.spec;
         for tile in &sg.tiles {
             let dst0 = tiled.tile_dst(block, strip, tile, 0);
-            let tile_value = |e: &TileEntry| {
-                value(
-                    e.weight,
-                    (src0 + e.row as usize) as u32,
-                    (dst0 + e.col as usize) as u32,
-                )
-            };
+            let tile_value = entry_value(value, src0, dst0);
             if let Some(stage) = &mut self.analog {
                 stage.load(tile, tile_value, MergeRule::Sum);
                 for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
@@ -537,15 +545,18 @@ impl<'a> StripScanner<'a> {
             dst_start: unit.dst_start,
         };
         // Taken out of `self` for the scan so the subgraph kernel can
-        // borrow the scanner; put back below, keeping their capacity.
+        // borrow the scanner; put back below, keeping its capacity.
         let mut active_rows = std::mem::take(&mut self.active_rows);
-        let mut tile_rows = std::mem::take(&mut self.tile_rows);
 
         for row in &punit.rows {
             let bidx = row.block as usize;
             let block = &tiled.blocks()[bidx];
             let strip = &block.strips[sidx];
-            tile_rows.clear();
+            // One allocation per strip visit, deliberately not scanner
+            // scratch: a scratch vector that grows on a pool thread pins
+            // that thread's malloc arena, which read as +1.5–2 MiB peak
+            // RSS on a fused-lane serve workload.
+            let mut tile_rows: Vec<u64> = Vec::new();
             let mut strip_edges = 0u64;
             for &g in &row.subgraphs {
                 let sg = &strip.subgraphs[g as usize];
@@ -580,7 +591,6 @@ impl<'a> StripScanner<'a> {
             self.charge_strip_writeback(self.config.strip_width().min(n), metrics);
         }
         self.active_rows = active_rows;
-        self.tile_rows = tile_rows;
         metrics.events.salu_ops += salu.ops_performed();
         total_drives
     }
@@ -687,13 +697,7 @@ impl<'a> StripScanner<'a> {
         // active row once per lane holding it ---
         for tile in &sg.tiles {
             let dst0 = tiled.tile_dst(block, strip, tile, 0);
-            let tile_value = |e: &TileEntry| {
-                value(
-                    e.weight,
-                    (src0 + e.row as usize) as u32,
-                    (dst0 + e.col as usize) as u32,
-                )
-            };
+            let tile_value = entry_value(value, src0, dst0);
             let mut this_tile_rows = 0u64;
             let mut driven = |row: &[Cell]| {
                 let (lane_rows, cells) =

@@ -206,12 +206,16 @@ impl TiledGraph {
         // is computed once; ties break on the input index, so parallel
         // edges keep their input order (a stable sort by ID).
         let edges = graph.edges();
-        let mut sorted: Vec<(u64, u32)> = edges
+        let mut keyed: Vec<(u64, u32)> = edges
             .iter()
             .enumerate()
             .map(|(idx, e)| (order.global_id(e.src as usize, e.dst as usize), idx as u32))
             .collect();
-        sorted.sort_unstable();
+        keyed.sort_unstable();
+        // Only the order is kept: the 16-byte keyed pairs are freed before
+        // the blocks are built, so they add nothing to peak memory.
+        let sorted: Vec<u32> = keyed.iter().map(|&(_, idx)| idx).collect();
+        drop(keyed);
 
         let per_side = order.blocks_per_side();
         let strips_per_block = order.strips_per_block();
@@ -231,7 +235,7 @@ impl TiledGraph {
         let tiles_per_ge = config.tiles_per_ge();
         let mut nonempty_subgraphs = 0usize;
         let mut nonempty_tiles = 0usize;
-        for &(_, idx) in &sorted {
+        for &idx in &sorted {
             let e = &edges[idx as usize];
             let co = order.coords(e.src as usize, e.dst as usize);
             let block = &mut blocks[co.block as usize];
