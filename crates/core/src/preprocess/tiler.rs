@@ -212,8 +212,8 @@ impl TiledGraph {
             .map(|(idx, e)| (order.global_id(e.src as usize, e.dst as usize), idx as u32))
             .collect();
         keyed.sort_unstable();
-        // Only the order is kept: the 16-byte keyed pairs are freed before
-        // the blocks are built, so they add nothing to peak memory.
+        // Only the order is kept: the 16-byte pairs are freed before the
+        // blocks are built.
         let sorted: Vec<u32> = keyed.iter().map(|&(_, idx)| idx).collect();
         drop(keyed);
 

@@ -3,11 +3,12 @@
 //! must agree on every evaluated application — the reproduction's central
 //! functional claim.
 
+use graphr_repro::core::exec::StreamingExecutor;
 use graphr_repro::core::sim::{
-    run_bfs, run_cf, run_pagerank, run_spmv, run_sssp, CfOptions, PageRankOptions, SpmvOptions,
-    TraversalOptions,
+    run_bfs, run_cf, run_pagerank, run_spmv, run_sssp, run_sssp_lanes, CfOptions,
+    LaneTraversalOptions, PageRankOptions, SpmvOptions, TraversalOptions,
 };
-use graphr_repro::core::{Fidelity, GraphRConfig};
+use graphr_repro::core::{Fidelity, GraphRConfig, Metrics, TiledGraph};
 use graphr_repro::graph::algorithms::bfs::bfs;
 use graphr_repro::graph::algorithms::pagerank::{pagerank, PageRankParams};
 use graphr_repro::graph::algorithms::spmv::spmv_vertex_program;
@@ -202,6 +203,21 @@ fn cf_reduces_rmse_on_both_engines() {
 
 #[test]
 fn analog_and_fast_fidelities_agree_end_to_end() {
+    fn assert_same_accounting(what: &str, fast: &Metrics, analog: &Metrics) {
+        assert_eq!(fast.events, analog.events, "{what}: events");
+        assert_eq!(fast.elapsed, analog.elapsed, "{what}: elapsed");
+        assert_eq!(fast.energy, analog.energy, "{what}: energy");
+    }
+    fn assert_close(what: &str, fast: &[f64], analog: &[f64]) {
+        assert_eq!(fast.len(), analog.len(), "{what}: lengths");
+        for (a, b) in fast.iter().zip(analog) {
+            assert!(
+                (a - b).abs() < 1e-12,
+                "{what}: fidelities diverged: {a} vs {b}"
+            );
+        }
+    }
+
     let g = Rmat::new(150, 800)
         .seed(3)
         .max_weight(8)
@@ -214,12 +230,61 @@ fn analog_and_fast_fidelities_agree_end_to_end() {
     };
     let fast = run_pagerank(&g, &config(Fidelity::Fast), &opts).expect("valid run");
     let analog = run_pagerank(&g, &config(Fidelity::Analog), &opts).expect("valid run");
-    for (a, b) in fast.values.iter().zip(&analog.values) {
-        assert!((a - b).abs() < 1e-12, "fidelities diverged: {a} vs {b}");
+    assert_close("pagerank", &fast.values, &analog.values);
+    assert_same_accounting("pagerank", &fast.metrics, &analog.metrics);
+
+    // A dense multigraph with self-loops: many cells hold several parallel
+    // edges, merged by Sum for MAC scans and by Min for add-op scans.
+    let multi = Rmat::new(40, 700).seed(8).max_weight(6).generate();
+    let mut cells: Vec<(u32, u32)> = multi.iter().map(|e| (e.src, e.dst)).collect();
+    cells.sort_unstable();
+    assert!(cells.windows(2).filter(|w| w[0] == w[1]).count() > 50);
+
+    // One-input SpMV and a 3-input scan (as CF runs per feature) over
+    // the duplicate cells.
+    let spmv = SpmvOptions {
+        input: Some((0..40).map(|v| f64::from(v % 5) * 0.5).collect()),
+        ..SpmvOptions::default()
+    };
+    let fast = run_spmv(&multi, &config(Fidelity::Fast), &spmv).expect("valid run");
+    let analog = run_spmv(&multi, &config(Fidelity::Analog), &spmv).expect("valid run");
+    assert_close("spmv", &fast.values, &analog.values);
+    assert_same_accounting("spmv", &fast.metrics, &analog.metrics);
+
+    let inputs: Vec<Vec<f64>> = (0..3)
+        .map(|k| (0..40).map(|v| f64::from((v + k) % 4) * 0.25).collect())
+        .collect();
+    let input_refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+    let spec = SpmvOptions::default().matrix_spec;
+    let scan = |fidelity| {
+        let cfg = config(fidelity);
+        let tiled = TiledGraph::preprocess(&multi, &cfg).expect("valid geometry");
+        let mut exec = StreamingExecutor::new(&tiled, &cfg, spec);
+        let y = exec.scan_mac(&|w, _, _| f64::from(w) * 0.125, &input_refs);
+        (y, exec.into_metrics())
+    };
+    let (fast_y, fast_m) = scan(Fidelity::Fast);
+    let (analog_y, analog_m) = scan(Fidelity::Analog);
+    for (f, a) in fast_y.iter().zip(&analog_y) {
+        assert_close("3-input scan", f, a);
     }
-    assert_eq!(fast.metrics.events, analog.metrics.events);
-    assert_eq!(fast.metrics.elapsed, analog.metrics.elapsed);
-    assert_eq!(fast.metrics.energy, analog.metrics.energy);
+    assert_same_accounting("3-input scan", &fast_m, &analog_m);
+
+    // SSSP solo and as a 3-lane fused wave, on the parallel-edge graph.
+    let traversal = TraversalOptions {
+        source: 1,
+        ..TraversalOptions::default()
+    };
+    let fast = run_sssp(&multi, &config(Fidelity::Fast), &traversal).expect("valid run");
+    let analog = run_sssp(&multi, &config(Fidelity::Analog), &traversal).expect("valid run");
+    assert_eq!(fast.distances, analog.distances, "sssp distances");
+    assert_same_accounting("sssp", &fast.metrics, &analog.metrics);
+
+    let lanes = LaneTraversalOptions::new(vec![1, 7, 30]);
+    let fast = run_sssp_lanes(&multi, &config(Fidelity::Fast), &lanes).expect("valid run");
+    let analog = run_sssp_lanes(&multi, &config(Fidelity::Analog), &lanes).expect("valid run");
+    assert_eq!(fast.distances, analog.distances, "fused sssp distances");
+    assert_same_accounting("fused sssp", &fast.metrics, &analog.metrics);
 }
 
 #[test]

@@ -1,11 +1,14 @@
 //! Integration tests of the §3.4 preprocessing through the public API:
 //! the Figure 12 worked geometry, edge-conservation round trips, and the
-//! ordering properties the streaming-apply executor relies on.
+//! ordering properties the streaming-apply executor relies on — among
+//! them the entry order the fast-fidelity scan kernels consume directly.
 
-use graphr_repro::core::preprocess::TileOrder;
+use graphr_repro::core::preprocess::tiler::{Block, Strip};
+use graphr_repro::core::preprocess::{Subgraph, Tile, TileEntry, TileOrder};
 use graphr_repro::core::{GraphRConfig, TiledGraph};
 use graphr_repro::graph::generators::rmat::Rmat;
 use graphr_repro::graph::generators::structured::figure5;
+use graphr_repro::graph::{Edge, EdgeList};
 use graphr_repro::units::{BitSlicer, FixedSpec};
 use proptest::prelude::*;
 
@@ -224,5 +227,143 @@ proptest! {
         prop_assert_eq!(tiled.total_edges(), 100);
         prop_assert!(tiled.order().padded_vertices() >= n);
         prop_assert_eq!(tiled.order().padded_vertices() % 32, 0);
+    }
+}
+
+/// A straightforward tiler kept as the reference: a stable sort by
+/// global order ID, then a linear search for each edge's tile and a
+/// final `(ge, slot)` sort. Returns the blocks and the nonempty subgraph
+/// and tile counts.
+fn reference_tiling(graph: &EdgeList, config: &GraphRConfig) -> (Vec<Block>, usize, usize) {
+    let c = config.crossbar_size;
+    let block_size = config.effective_block_vertices(graph.num_vertices());
+    let order = TileOrder::new(
+        graph.num_vertices().max(1),
+        c,
+        config.strip_width(),
+        block_size,
+    )
+    .expect("valid geometry");
+    let edges = graph.edges();
+    let mut sorted: Vec<usize> = (0..edges.len()).collect();
+    sorted.sort_by_key(|&i| order.global_id(edges[i].src as usize, edges[i].dst as usize));
+    let per_side = order.blocks_per_side();
+    let mut blocks: Vec<Block> = (0..order.num_blocks())
+        .map(|bidx| Block {
+            bi: (bidx % per_side) as u32,
+            bj: (bidx / per_side) as u32,
+            strips: (0..order.strips_per_block())
+                .map(|s| Strip {
+                    strip: s as u32,
+                    subgraphs: Vec::new(),
+                })
+                .collect(),
+        })
+        .collect();
+    let tiles_per_ge = config.tiles_per_ge();
+    let (mut subgraphs, mut tiles) = (0, 0);
+    for i in sorted {
+        let e = &edges[i];
+        let co = order.coords(e.src as usize, e.dst as usize);
+        let strip = &mut blocks[co.block as usize].strips[co.strip as usize];
+        if strip
+            .subgraphs
+            .last()
+            .is_none_or(|sg| u64::from(sg.chunk) != co.chunk)
+        {
+            strip.subgraphs.push(Subgraph {
+                chunk: co.chunk as u32,
+                tiles: Vec::new(),
+                edges: 0,
+            });
+            subgraphs += 1;
+        }
+        let sg = strip.subgraphs.last_mut().expect("just pushed");
+        sg.edges += 1;
+        let tile_index = co.sub_col as usize / c;
+        let (ge, slot) = (
+            (tile_index / tiles_per_ge) as u32,
+            (tile_index % tiles_per_ge) as u32,
+        );
+        let entry = TileEntry {
+            row: co.sub_row as u8,
+            col: (co.sub_col as usize % c) as u8,
+            weight: e.weight,
+        };
+        match sg.tiles.iter_mut().find(|t| t.ge == ge && t.slot == slot) {
+            Some(t) => t.entries.push(entry),
+            None => {
+                sg.tiles.push(Tile {
+                    ge,
+                    slot,
+                    entries: vec![entry],
+                });
+                tiles += 1;
+            }
+        }
+    }
+    for sg in blocks
+        .iter_mut()
+        .flat_map(|b| &mut b.strips)
+        .flat_map(|s| &mut s.subgraphs)
+    {
+        sg.tiles.sort_by_key(|t| (t.ge, t.slot));
+    }
+    (blocks, subgraphs, tiles)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On multigraphs with parallel edges and self-loops, the tiler equals
+    /// the reference tiler, and every tile holds its entries
+    /// `(col, row)`-ascending with each cell's parallel edges adjacent and
+    /// in input order; tiles are `(ge, slot)`-ascending.
+    #[test]
+    fn tiler_matches_reference_and_orders_entries_for_the_kernels(
+        n in 1usize..80,
+        raw in proptest::collection::vec((0u32..10_000, 0u32..10_000, 1u32..6), 0..400),
+        doubled in 0usize..4,
+    ) {
+        let n32 = n as u32;
+        let mut edges = Vec::new();
+        for (k, &(a, b, w)) in raw.iter().enumerate() {
+            // Every few edges are repeated with another weight, so parallel
+            // edges are common even on larger vertex counts.
+            let (src, dst) = (a % n32, if k % 5 == 0 { a % n32 } else { b % n32 });
+            edges.push(Edge::new(src, dst, w as f32));
+            if k % 4 == doubled {
+                edges.push(Edge::new(src, dst, (w + 3) as f32));
+            }
+        }
+        // Input-order tag per edge: weights are made unique so the
+        // in-run order is observable.
+        for (k, e) in edges.iter_mut().enumerate() {
+            e.weight += k as f32 * 8.0;
+        }
+        let graph = EdgeList::from_edges(n, edges).unwrap();
+        for config in [figure12_config(), GraphRConfig::default()] {
+            let tiled = TiledGraph::preprocess(&graph, &config).unwrap();
+            let (blocks, subgraphs, tiles) = reference_tiling(&graph, &config);
+            prop_assert_eq!(tiled.blocks(), &blocks[..]);
+            prop_assert_eq!(tiled.nonempty_subgraphs(), subgraphs);
+            prop_assert_eq!(tiled.nonempty_tiles(), tiles);
+            for sg in tiled.blocks().iter().flat_map(|b| &b.strips).flat_map(|s| &s.subgraphs) {
+                for pair in sg.tiles.windows(2) {
+                    prop_assert!((pair[0].ge, pair[0].slot) < (pair[1].ge, pair[1].slot));
+                }
+                for tile in &sg.tiles {
+                    for pair in tile.entries.windows(2) {
+                        let (a, b) = (&pair[0], &pair[1]);
+                        prop_assert!((a.col, a.row) <= (b.col, b.row));
+                        if (a.col, a.row) == (b.col, b.row) {
+                            // Unique, input-ordered weights: a same-cell
+                            // run keeps input order.
+                            prop_assert!(a.weight < b.weight);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
